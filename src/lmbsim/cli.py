@@ -26,7 +26,7 @@ import sys
 from . import config as cfgmod
 from .engine import REFERENCE_SPEEDUP, replay_trace, simulate
 from .errors import ConfigurationError, DataError, LmbsimError, VerificationError
-from .fabric import FabricConfig, RequestTrace, fabric_mttkrp_kernel
+from .fabric import FabricConfig, ReqKind, RequestTrace, fabric_mttkrp_kernel
 from .memsys import MODES
 from .tensor import FactorMatrix, cp_als, gen_synthetic
 from . import tensor_io
@@ -140,6 +140,7 @@ def _emit_rows(rows, columns, out_format, out_path):
 
 def _parse_trace_file(path):
     records = []
+    tags = set()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -151,12 +152,24 @@ def _parse_trace_file(path):
                     raise DataError(
                         f"{path} line {lineno}: expected 7 fields, got {len(parts)}")
                 try:
-                    records.append((int(parts[0]), parts[1], int(parts[2]),
-                                    int(parts[3]), int(parts[4]), int(parts[5]),
-                                    int(parts[6])))
+                    rec = (int(parts[0]), parts[1], int(parts[2]),
+                           int(parts[3]), int(parts[4]), int(parts[5]),
+                           int(parts[6]))
                 except ValueError:
                     raise DataError(
                         f"{path} line {lineno}: malformed trace record") from None
+                _, kind, _, _, _, nbytes, tag = rec
+                if kind.upper() not in ReqKind.__members__:
+                    raise DataError(
+                        f"{path} line {lineno}: unknown request kind {kind!r}")
+                if nbytes <= 0:
+                    raise DataError(
+                        f"{path} line {lineno}: request length {nbytes} "
+                        f"is not positive")
+                if tag in tags:
+                    raise DataError(f"{path} line {lineno}: repeated tag {tag}")
+                tags.add(tag)
+                records.append(rec)
     except OSError as exc:
         raise DataError(f"cannot read trace file {path}: {exc}") from None
     return records

@@ -9,11 +9,26 @@ to at most one finished beat (round-robin over banks, same-cycle grant
 allowed), then moves ingress beats into bank queues with head-of-line
 blocking on a full queue, then starts new services on idle banks, same-cycle
 start allowed.
+
+The model is event-driven.  Beats in service sit in a heap keyed on the
+cycle their service ends, so completions cost O(log banks) each and nothing
+per idle cycle.  A count of finished beats waiting for the bus gates the
+round-robin grant scan, which runs only when that count is non-zero.  Only a
+bank granted the bus or handed a beat while idle can start a service, so
+step 3 looks at those banks alone.  At the end of a step `wake` is the
+earliest cycle at which the next step can do anything: the heap's top, the
+next cycle while a finished beat waits for the bus, or the ingress head's
+ready time.  A head blocked on a full bank queue is left out while that queue
+stays full; only a service start on its bank, in some later step, frees a
+slot.  The blocked cycles are charged to hol_block_cycles per interval: the
+next step adds the cycles it slept, then checks the head again.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .errors import ConfigurationError
 from .queues import INF, TimedFifo
@@ -44,26 +59,28 @@ class DramConfig:
 
 
 class _Bank:
-    __slots__ = ("queue", "open_row", "busy_until", "current", "done",
-                 "arrivals")
+    __slots__ = ("queue", "open_row", "current", "done")
 
     def __init__(self):
-        self.queue = []
+        self.queue = deque()   # (beat, row, arrival cycle)
         self.open_row = None
-        self.busy_until = 0
-        self.current = None
+        self.current = None    # beat in service
         self.done = None       # serviced beat waiting for the bus
-        self.arrivals = []     # arrival cycles, parallel to queue
 
 
 class Dram:
     def __init__(self, cfg: DramConfig):
         self.cfg = cfg
         self.banks = [_Bank() for _ in range(cfg.num_banks)]
-        self.ingress = TimedFifo()   # beats from the router
-        self.to_router = TimedFifo()  # completions toward the LMBs
+        self.ingress = TimedFifo(self)  # beats from the router
+        self.to_router = TimedFifo()    # completions toward the LMBs
+        self.wake = INF        # step is a no-op before this cycle
         self._bus_rr = 0
-        self._active = set()  # bank indices holding any work
+        self._busy = []        # heap of (service end, bank index)
+        self._finished = 0     # serviced beats waiting for the bus
+        self._held = 0         # beats queued, in service or finished
+        self._hol = None       # (bank, row) of the ingress head while blocked
+        self._hol_at = 0       # last cycle a step found that head blocked
         self.stats = {
             "beats": 0, "row_hits": 0, "row_misses": 0,
             "busy_cycles": 0, "hol_block_cycles": 0,
@@ -77,88 +94,95 @@ class Dram:
         lines_per_row = self.cfg.row_bytes // BEAT_BYTES
         return line % self.cfg.num_banks, (line // self.cfg.num_banks) // lines_per_row
 
-    def _bucket(self, wait):
-        b = 1
-        while b < wait:
-            b <<= 1
-        return b
-
     def step(self, now):
+        if now < self.wake:
+            return False
         moved = False
-        active = self._active
+        banks = self.banks
+        busy = self._busy
+        stats = self.stats
+        starts = []  # indices of banks that may start a service this cycle
         # 1. completions, then one bus grant
-        for idx in active:
-            bank = self.banks[idx]
-            if bank.current is not None and bank.busy_until <= now:
-                bank.done = bank.current
-                bank.current = None
-                moved = True
-        if active:
-            n = len(self.banks)
-            for off in range(n):
-                i = (self._bus_rr + off) % n
-                bank = self.banks[i]
-                if bank.done is not None:
-                    beat = bank.done
-                    bank.done = None
-                    self._bus_rr = (i + 1) % n
-                    self.stats["bus_bytes"] += BEAT_BYTES
-                    self.stats["bus_useful_bytes"] += beat.useful
-                    self.to_router.push(now + 1, beat)
-                    if bank.current is None and not bank.queue:
-                        active.discard(i)
-                    moved = True
-                    break
+        while busy and busy[0][0] <= now:
+            bank = banks[heappop(busy)[1]]
+            bank.done = bank.current
+            bank.current = None
+            self._finished += 1
+            moved = True
+        if self._finished:
+            n = len(banks)
+            i = self._bus_rr
+            while banks[i].done is None:
+                i = (i + 1) % n
+            bank = banks[i]
+            beat = bank.done
+            bank.done = None
+            self._finished -= 1
+            self._held -= 1
+            self._bus_rr = (i + 1) % n
+            stats["bus_bytes"] += BEAT_BYTES
+            stats["bus_useful_bytes"] += beat.useful
+            self.to_router.push(now + 1, beat)
+            if bank.queue:
+                starts.append(i)
+            moved = True
         # 2. ingress with head-of-line blocking
+        ingress = self.ingress
+        depth = self.cfg.queue_depth
+        if self._hol is not None:
+            stats["hol_block_cycles"] += now - self._hol_at - 1
         while True:
-            beat = self.ingress.peek(now)
+            beat = ingress.peek(now)
             if beat is None:
                 break
-            bank_idx, _ = self._locate(beat.addr)
-            bank = self.banks[bank_idx]
-            if len(bank.queue) >= self.cfg.queue_depth:
-                self.stats["hol_block_cycles"] += 1
+            loc = self._hol or self._locate(beat.addr)
+            bank = banks[loc[0]]
+            if len(bank.queue) >= depth:
+                stats["hol_block_cycles"] += 1
+                self._hol = loc
+                self._hol_at = now
                 break
-            self.ingress.pop(now)
-            bank.queue.append(beat)
-            bank.arrivals.append(now)
-            active.add(bank_idx)
-            self.stats["beats"] += 1
+            self._hol = None
+            ingress.pop(now)
+            if not bank.queue and bank.current is None and bank.done is None:
+                starts.append(loc[0])
+            bank.queue.append((beat, loc[1], now))
+            self._held += 1
+            stats["beats"] += 1
             moved = True
         # 3. start services, same-cycle start allowed
-        for idx in active:
-            bank = self.banks[idx]
-            if bank.current is None and bank.done is None and bank.queue:
-                beat = bank.queue.pop(0)
-                arrived = bank.arrivals.pop(0)
-                _, row = self._locate(beat.addr)
-                if row == bank.open_row:
-                    service = self.cfg.t_row_hit
-                    self.stats["row_hits"] += 1
-                else:
-                    service = self.cfg.t_row_miss
-                    self.stats["row_misses"] += 1
-                bank.open_row = row
-                bank.current = beat
-                bank.busy_until = now + service
-                self.stats["busy_cycles"] += service
-                wait = now - arrived
-                bucket = self._bucket(wait)
-                hist = self.stats["wait_histogram"]
-                hist[bucket] = hist.get(bucket, 0) + 1
-                moved = True
+        for i in starts:
+            bank = banks[i]
+            beat, row, arrived = bank.queue.popleft()
+            if row == bank.open_row:
+                service = self.cfg.t_row_hit
+                stats["row_hits"] += 1
+            else:
+                service = self.cfg.t_row_miss
+                stats["row_misses"] += 1
+            bank.open_row = row
+            bank.current = beat
+            heappush(busy, (now + service, i))
+            stats["busy_cycles"] += service
+            wait = now - arrived
+            bucket = 1 << (wait - 1).bit_length() if wait > 1 else 1
+            hist = stats["wait_histogram"]
+            hist[bucket] = hist.get(bucket, 0) + 1
+            moved = True
+        # wake: a finished beat is granted next cycle; otherwise the next
+        # completion or the ingress head, unless that head is still blocked
+        if self._finished:
+            self.wake = now + 1
+        else:
+            wake = busy[0][0] if busy else INF
+            if ingress and (self._hol is None
+                            or len(banks[self._hol[0]].queue) < depth):
+                wake = min(wake, max(ingress.head_ready(), now + 1))
+            self.wake = wake
         return moved
 
     def next_event(self, now):
-        candidates = [self.ingress.head_ready()]
-        for idx in self._active:
-            bank = self.banks[idx]
-            if bank.current is not None:
-                candidates.append(bank.busy_until)
-            if bank.done is not None or (bank.queue and bank.current is None
-                                         and bank.done is None):
-                candidates.append(now + 1)
-        return min(candidates)
+        return self.wake
 
     def idle(self):
-        return not self.ingress and not self.to_router and not self._active
+        return not self.ingress and not self.to_router and not self._held

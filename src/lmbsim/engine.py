@@ -24,8 +24,18 @@ cycles at rank 32 (two beats per row) and 26 + 3 * t_row_miss at rank 8 (one
 beat per row); the derivation is walked through in the acceptance tests.
 
 Requests issue from PE machines as in the functional harness (identical
-numerics), flow to one memory block chosen by pe modulo the block count, and
-the engine skips idle stretches by jumping to the earliest pending event.
+numerics) and flow to one memory block chosen by pe modulo the block count.
+
+The engine steps every component once per loop iteration.  The DRAM, the
+router and each block keep a `wake` cycle, and a step below it is a no-op:
+the component sets its wake at the end of each step, and a push onto an empty
+input wire lowers it (see queues.py).  A DRAM head blocked on a full bank
+queue and a lookup-pipe head waiting for a miss slot are left out of the
+wake until what unblocks them happens (a service start on that bank, a fill
+on in_resp), so the two stall counters, hol_block_cycles and
+miss_slot_stall_cycles, are charged per blocked interval: the next step adds
+the cycles slept, then checks once more.  When no step moved anything, the
+engine jumps to the earliest wake or other pending event.
 """
 
 from __future__ import annotations
@@ -74,9 +84,15 @@ class Router:
         self.lmbs = lmbs
         self.dram = dram
         self._rr = 0
+        self._inputs = [lmb.to_router for lmb in lmbs] + [dram.to_router]
+        for wire in self._inputs:
+            wire.owner = self
+        self.wake = 0  # the wires may already hold beats
         self.stats = {"forwarded": 0, "returned": 0}
 
     def step(self, now):
+        if now < self.wake:
+            return False
         moved = False
         n = len(self.lmbs)
         for off in range(n):
@@ -94,12 +110,15 @@ class Router:
             self.stats["returned"] += 1
             moved = True
             beat = self.dram.to_router.pop(now)
+        if moved:
+            self.wake = now + 1
+        else:
+            # nothing was ready, so every head lies ahead
+            self.wake = min(wire.head_ready() for wire in self._inputs)
         return moved
 
     def next_event(self, now):
-        ready = [lmb.to_router.head_ready() for lmb in self.lmbs]
-        ready.append(self.dram.to_router.head_ready())
-        return min(ready)
+        return self.wake
 
 
 class NullImage:

@@ -29,9 +29,9 @@ class ProtocolError(LmbsimError):
 class DeadlockError(LmbsimError):
     """Simulation made no progress; carries a state dump for debugging."""
 
-    def __init__(self, message, dump=None):
+    def __init__(self, message, dump=""):
         super().__init__(message)
-        self.dump = dump or {}
+        self.dump = dump
 
 
 class VerificationError(LmbsimError):

@@ -25,6 +25,7 @@ are same-cycle credit pulses (the fabric steps after the memory side).
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -345,8 +346,10 @@ class DmaEngine:
 
     def __init__(self, cfg: DmaConfig, stats):
         self.cfg = cfg
-        self.queues = {}
-        self.descs = {}    # slot-holding: beats still to issue
+        self.queues = {}   # pe -> waiting requests
+        self._pes = []     # the keys of queues, sorted
+        self._queued = 0   # requests in all queues
+        self.descs = []    # slot-holding, in id order: beats still to issue
         self.pending = {}  # desc id -> response reassembly
         self.credits = cfg.beat_credits
         self._grant_rr = 0
@@ -357,10 +360,15 @@ class DmaEngine:
                      credit_stall_cycles=0)
 
     def enqueue(self, req):
-        self.queues.setdefault(req.pe, deque()).append(req)
+        q = self.queues.get(req.pe)
+        if q is None:
+            q = self.queues[req.pe] = deque()
+            insort(self._pes, req.pe)
+        q.append(req)
+        self._queued += 1
 
     def backlog(self):
-        return any(self.queues.values()) or bool(self.descs)
+        return self._queued > 0 or bool(self.descs)
 
     def credit_return(self):
         self.credits += 1
@@ -374,23 +382,25 @@ class DmaEngine:
             complete_cb(rec["req"])
 
     def step_grant(self, now):
-        if not any(self.queues.values()):
+        if not self._queued:
             return False
         if len(self.descs) >= self.cfg.desc_slots:
             self.stats["grant_stall_cycles"] += 1
             return False
-        pes = sorted(self.queues)
+        pes = self._pes
         for off in range(len(pes)):
             pe = pes[(self._grant_rr + off) % len(pes)]
             q = self.queues[pe]
             if q:
                 req = q.popleft()
+                self._queued -= 1
                 self._grant_rr = (self._grant_rr + off + 1) % len(pes)
                 beats = [line * BEAT_BYTES for line in
                          _lines_of(req.addr, req.nbytes)]
-                self.descs[self._next_desc] = {
-                    "req": req, "beats": beats, "next_beat": 0,
-                }
+                self.descs.append({
+                    "id": self._next_desc, "req": req, "beats": beats,
+                    "next_beat": 0,
+                })
                 self.pending[self._next_desc] = {
                     "req": req, "total": len(beats), "done": 0,
                 }
@@ -405,10 +415,11 @@ class DmaEngine:
         if self.credits <= 0:
             self.stats["credit_stall_cycles"] += 1
             return False
-        ids = sorted(self.descs)
-        for off in range(len(ids)):
-            desc_id = ids[(self._beat_rr + off) % len(ids)]
-            desc = self.descs[desc_id]
+        descs = self.descs
+        count = len(descs)
+        for off in range(count):
+            idx = (self._beat_rr + off) % count
+            desc = descs[idx]
             n = desc["next_beat"]
             if n < len(desc["beats"]):
                 req = desc["req"]
@@ -419,10 +430,10 @@ class DmaEngine:
                 desc["next_beat"] += 1
                 self.credits -= 1
                 self.stats["beats"] += 1
-                self._beat_rr = (self._beat_rr + off + 1) % len(ids)
+                self._beat_rr = (self._beat_rr + off + 1) % count
                 if desc["next_beat"] == len(desc["beats"]):
-                    del self.descs[desc_id]
-                emit(addr, rw, (desc_id, n), useful)
+                    del descs[idx]
+                emit(addr, rw, (desc["id"], n), useful)
                 return True
         return False
 
@@ -435,12 +446,15 @@ class Lmb:
         self.cfg = cfg
         self.image = image
         self.mode = cfg.mode
-        # wires toward this block
-        self.in_elem = TimedFifo()
-        self.in_fe = TimedFifo()
-        self.in_dma = TimedFifo()
+        self.wake = INF       # step is a no-op before this cycle
+        self._now = 0         # cycle of the step in progress
+        self._stall_at = None  # last cycle the pipe head found no miss slot
+        # wires toward this block; a push onto an empty one lowers wake
+        self.in_elem = TimedFifo(self)
+        self.in_fe = TimedFifo(self)
+        self.in_dma = TimedFifo(self)
         self.in_ip = {}
-        self.in_resp = TimedFifo()
+        self.in_resp = TimedFifo(self)
         # wires away from this block
         self.to_router = TimedFifo()
         self.to_fabric = TimedFifo()
@@ -472,7 +486,9 @@ class Lmb:
         self._wr_src = TimedFifo()
         self._ip_src = TimedFifo()
         self._ip_state = {}          # pe -> {req, beats, next, waiting}
+        self._ip_pes = []            # the keys of _ip_state, sorted
         self._ip_rr = 0
+        self._emit_dma = self._push_dma_beat
         self._fill_block = -1
         self._arb_rr = 0
         self._sources = {
@@ -493,7 +509,12 @@ class Lmb:
         elif self.mode == "dma-only":
             wire = self.in_dma
         else:
-            wire = self.in_ip.setdefault(req.pe, TimedFifo())
+            wire = self.in_ip.get(req.pe)
+            if wire is None:
+                wire = self.in_ip[req.pe] = TimedFifo(self)
+                self._ip_state[req.pe] = {"req": None, "beats": (), "next": 0,
+                                          "waiting": False}
+                insort(self._ip_pes, req.pe)
         wire.push(now + 1, req)
 
     # -- responses to the fabric -----------------------------------------
@@ -596,7 +617,7 @@ class Lmb:
                 self.stats["rrsh_stall_cycles"] += 1
         moved |= self._step_cache(now)
         moved |= self.dma.step_grant(now)
-        moved |= self.dma.step_beats(now, self._emit_dma_beat(now))
+        moved |= self.dma.step_beats(now, self._emit_dma)
         return moved
 
     def _step_cache_only(self, now):
@@ -636,6 +657,7 @@ class Lmb:
                 new_fetch = self.fetch_slots.try_add(line, parent_id)
                 if new_fetch is None:
                     self.stats["miss_slot_stall_cycles"] += 1
+                    self._stall_at = now
                 else:
                     self.pipe.pop_head()
                     self.stats["cache_misses"] += 1
@@ -667,6 +689,7 @@ class Lmb:
                 new_fetch = self.fetch_slots.try_add(line, waiter)
                 if new_fetch is None:
                     self.stats["miss_slot_stall_cycles"] += 1
+                    self._stall_at = now
                 else:
                     self.pipe.pop_head()
                     self.stats["cache_misses"] += 1
@@ -678,11 +701,9 @@ class Lmb:
                     moved = True
         return moved
 
-    def _emit_dma_beat(self, now):
-        def emit(addr, rw, token, useful):
-            self._dma_src.push(now + 1, Beat(self.lmb_id, "dma", token, rw,
-                                             addr, useful))
-        return emit
+    def _push_dma_beat(self, addr, rw, token, useful):
+        self._dma_src.push(self._now + 1, Beat(self.lmb_id, "dma", token, rw,
+                                               addr, useful))
 
     def _drain_dma_wire(self, now):
         moved = False
@@ -696,8 +717,7 @@ class Lmb:
     def _step_ip(self, now):
         moved = False
         for pe, wire in self.in_ip.items():
-            st = self._ip_state.setdefault(
-                pe, {"req": None, "beats": (), "next": 0, "waiting": False})
+            st = self._ip_state[pe]
             if st["req"] is None:
                 req = wire.pop(now)
                 if req is not None:
@@ -708,7 +728,7 @@ class Lmb:
                     st["waiting"] = False
                     moved = True
         # issue at most one beat per cycle across PEs, round-robin
-        pes = sorted(self._ip_state)
+        pes = self._ip_pes
         for off in range(len(pes)):
             pe = pes[(self._ip_rr + off) % len(pes)]
             st = self._ip_state[pe]
@@ -732,6 +752,14 @@ class Lmb:
     # -- main step ---------------------------------------------------------
 
     def step(self, now):
+        if now < self.wake:
+            return False
+        self._now = now
+        if self._stall_at is not None:
+            # cycles slept with the pipe head waiting for a miss slot; the
+            # lookup below charges this cycle if it still waits
+            self.stats["miss_slot_stall_cycles"] += now - self._stall_at - 1
+            self._stall_at = None
         moved = False
         resp = self.in_resp.pop(now)
         while resp is not None:
@@ -746,7 +774,7 @@ class Lmb:
         elif self.mode == "dma-only":
             moved |= self._drain_dma_wire(now)
             moved |= self.dma.step_grant(now)
-            moved |= self.dma.step_beats(now, self._emit_dma_beat(now))
+            moved |= self.dma.step_beats(now, self._emit_dma)
         else:
             moved |= self._step_ip(now)
         # port arbiter: one beat per cycle toward the router
@@ -761,28 +789,36 @@ class Lmb:
                 self.to_router.push(now + 1, beat)
                 moved = True
                 break
+        self.wake = now + 1 if moved else self._idle_wake(now)
         return moved
 
-    def next_event(self, now):
-        candidates = [self.in_resp.head_ready(), self.in_elem.head_ready(),
-                      self.in_fe.head_ready(), self.in_dma.head_ready(),
-                      self._stage2.head_ready(), self._intake.head_ready(),
-                      self.pipe.next_due(),
-                      self._cache_src.head_ready(), self._dma_src.head_ready(),
-                      self._wr_src.head_ready(), self._ip_src.head_ready()]
+    def _idle_wake(self, now):
+        """First cycle at which a step that moved nothing can act again.
+
+        Whatever was ready and is not listed here is blocked, and only an
+        input push unblocks it: a pipe head waiting for a miss slot and the
+        intake behind a full pipe wait for a fill on in_resp, and a busy ip
+        port's queued requests wait for its response.  A DMA backlog and a
+        stalled reductor stage 2 count their stall cycles one step at a time.
+        """
+        if self.dma.backlog():
+            return now + 1
+        wake = min(self.in_resp.head_ready(), self.in_elem.head_ready(),
+                   self.in_fe.head_ready(), self.in_dma.head_ready(),
+                   self._stage2.head_ready(), self._cache_src.head_ready(),
+                   self._dma_src.head_ready(), self._wr_src.head_ready(),
+                   self._ip_src.head_ready())
+        if self._stall_at is None:
+            wake = min(wake, self.pipe.next_due())
+        if self.pipe.can_accept():
+            wake = min(wake, self._intake.head_ready())
         for pe, w in self.in_ip.items():
-            st = self._ip_state.get(pe)
-            if st is None or st["req"] is None:
-                # a queued request only matters once the PE can take it;
-                # blocked PEs wake via in_resp instead
-                candidates.append(w.head_ready())
-        if self._access_q or self.dma.backlog():
-            candidates.append(now + 1)
-        if any(st["req"] is not None and not st["waiting"]
-               and st["next"] < len(st["beats"])
-               for st in self._ip_state.values()):
-            candidates.append(now + 1)
-        return min(candidates)
+            if self._ip_state[pe]["req"] is None:
+                wake = min(wake, w.head_ready())
+        return max(wake, now + 1)
+
+    def next_event(self, now):
+        return self.wake
 
     def drained(self):
         return (not self.in_elem and not self.in_fe and not self.in_dma

@@ -2,9 +2,13 @@
 
 Every hop between components takes at least one cycle.  A producer pushes an
 item with the cycle at which it becomes visible to the consumer; the consumer
-pops only items whose ready time has arrived.  `head_ready` feeds the engine's
-skip-ahead: the earliest ready time across all wires bounds the next cycle at
-which anything can happen.
+pops only items whose ready time has arrived.
+
+A wire may have an owner: the component that consumes it.  A push onto an
+empty wire lowers the owner's `wake` to the item's ready time, so a component
+asleep until its wake learns of new input without scanning its wires.  A push
+onto a non-empty wire need not: the owner's wake already covers the head, or
+the head is blocked and the new item waits behind it.
 """
 
 from collections import deque
@@ -13,16 +17,21 @@ INF = float("inf")
 
 
 class TimedFifo:
-    __slots__ = ("_q",)
+    __slots__ = ("_q", "owner")
 
-    def __init__(self):
+    def __init__(self, owner=None):
         self._q = deque()
+        self.owner = owner
 
     def push(self, ready, item):
-        # In-order delivery: ready times must be monotone per wire.
-        if self._q and ready < self._q[-1][0]:
-            ready = self._q[-1][0]
-        self._q.append((ready, item))
+        q = self._q
+        if q:
+            # In-order delivery: ready times must be monotone per wire.
+            if ready < q[-1][0]:
+                ready = q[-1][0]
+        elif self.owner is not None and ready < self.owner.wake:
+            self.owner.wake = ready
+        q.append((ready, item))
 
     def pop(self, now):
         """Item at the head if it is ready by `now`, else None."""

@@ -350,3 +350,32 @@ def test_cli_bad_trace_file(tmp_path):
     bad = tmp_path / "trace.txt"
     bad.write_text("1 elem 0 0\n")
     assert main(["run", "--trace-in", str(bad)]) == 2
+
+
+def _bad_trace_run(tmp_path, capsys, second_record):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("# cycle kind lmb pe addr len tag\n"
+                     "0 elem 0 0 0 16 0\n" + second_record + "\n")
+    rc = main(["run", "--trace-in", str(trace)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return rc, err
+
+
+def test_cli_trace_unknown_kind(tmp_path, capsys):
+    rc, err = _bad_trace_run(tmp_path, capsys, "1 bogus 0 0 64 16 1")
+    assert rc == 2
+    assert "line 3" in err and "unknown request kind 'bogus'" in err
+
+
+def test_cli_trace_repeated_tag(tmp_path, capsys):
+    rc, err = _bad_trace_run(tmp_path, capsys, "1 elem 0 1 64 16 0")
+    assert rc == 2
+    assert "line 3" in err and "repeated tag 0" in err
+
+
+@pytest.mark.parametrize("nbytes", [0, -16])
+def test_cli_trace_non_positive_length(tmp_path, capsys, nbytes):
+    rc, err = _bad_trace_run(tmp_path, capsys, f"1 elem 0 0 64 {nbytes} 1")
+    assert rc == 2
+    assert "line 3" in err and f"request length {nbytes}" in err

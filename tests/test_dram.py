@@ -173,6 +173,25 @@ def test_head_of_line_blocking_delays_other_bank():
     assert when["b1"] > 50
 
 
+def test_blocked_head_sleeps_until_its_bank_frees_a_slot():
+    d = Dram(DramConfig(num_banks=1, queue_depth=1))
+    for n in range(3):                        # one bank, one open row
+        d.ingress.push(0, beat(n * 64, token=n))
+    d.step(0)      # 0 starts, 1 blocks; the start frees the queue slot
+    assert d.next_event(0) == 1
+    d.step(1)      # 1 queues behind 0, 2 blocks with the queue full
+    assert d.next_event(1) == 45
+    for now in range(2, 45):
+        assert not d.step(now)
+    assert d.stats["hol_block_cycles"] == 2   # 44 cycles slept, not yet charged
+    d.step(45)     # 0 done and granted, 1 starts, 2 was blocked all along
+    assert d.stats["hol_block_cycles"] == 1 + 45
+    assert d.next_event(45) == 46
+    d.step(46)
+    assert d.stats["hol_block_cycles"] == 46
+    assert d.stats["beats"] == 3
+
+
 def test_wait_histogram_counts_every_beat():
     d = Dram(DramConfig(num_banks=2))
     for n in range(30):

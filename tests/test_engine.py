@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from lmbsim.dram import DramConfig
-from lmbsim.engine import (REFERENCE_SPEEDUP, Router, SystemConfig,
-                           _percentiles, baseline_system, compare_modes,
-                           replay_trace, report_to_json, simulate,
-                           system_config_dict, verify_output)
-from lmbsim.errors import ConfigurationError, VerificationError
+from lmbsim.engine import (REFERENCE_SPEEDUP, NullImage, Router, Simulator,
+                           SystemConfig, _percentiles, baseline_system,
+                           compare_modes, replay_trace, report_to_json,
+                           simulate, system_config_dict, verify_output)
+from lmbsim.errors import ConfigurationError, DeadlockError, VerificationError
 from lmbsim.fabric import FabricConfig, RequestTrace, run_functional
 from lmbsim.memsys import LmbConfig
-from lmbsim.queues import TimedFifo
+from lmbsim.queues import INF, TimedFifo
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, gen_synthetic,
                            mttkrp_oracle)
 
@@ -238,6 +238,31 @@ def test_router_serves_every_block_within_port_count_cycles():
     # and the saturating block is never locked out while it has beats
     gaps = np.diff(grants[0])
     assert gaps.max() <= 4
+
+
+# --- giving up ------------------------------------------------------------------
+
+def test_engine_gives_up_when_work_remains_without_pending_events():
+    class NeverIdle:
+        """A workload that never finishes and never schedules anything."""
+        want_step = True
+
+        def step(self, now, sink):
+            return False
+
+        def next_event(self, now):
+            return INF
+
+        def idle(self):
+            return False
+
+    sim = Simulator(system(), NullImage(), [NeverIdle()])
+    with pytest.raises(DeadlockError) as info:
+        sim.run()
+    assert str(info.value) == "no pending events but work remains"
+    assert isinstance(info.value.dump, str)
+    assert info.value.dump.startswith("cycle 0\n")
+    assert DeadlockError("x").dump == ""
 
 
 # --- comparisons and report shape ----------------------------------------------
