@@ -10,11 +10,10 @@ The full grid is 16 timed simulations and takes a few minutes on one core;
 import argparse
 import math
 import sys
-import time
 
 from lmbsim import config as cfgmod
-from lmbsim.engine import REFERENCE_SPEEDUP, simulate
-from lmbsim.tensor import FactorMatrix, gen_synthetic
+from lmbsim.cli import run_mode
+from lmbsim.engine import REFERENCE_SPEEDUP
 
 MODES = ("proposed", "dma-only", "cache-only", "ip-only")
 
@@ -23,25 +22,10 @@ def run_one(table, workload, mode, quick):
     settings = cfgmod.default_settings()
     cfgmod.apply_preset(settings, table)
     cfgmod.apply_preset(settings, workload)
-    if mode != "proposed":
-        cfgmod.apply_preset(settings, f"baseline-{mode}")
     if quick:
         nnz = int(settings["tensor"]["nnz"]) // 20
         settings["tensor"]["nnz"] = str(max(nnz, 100))
-    built = cfgmod.build(settings)
-    tensor = gen_synthetic(built.gen)
-    rank = built.system.fabric.rank
-    d = FactorMatrix.random(tensor.dims[1], rank, seed=built.seed + 1)
-    c = FactorMatrix.random(tensor.dims[2], rank, seed=built.seed + 2)
-    t0 = time.monotonic()
-    _, report = simulate(tensor, d, c, built.system, workload_name=workload)
-    return {
-        "cycles": report["total_cycles"],
-        "nnz": tensor.nnz,
-        "bus_bytes": report["bus"]["bytes"],
-        "useful": report["bus"]["useful_bytes"],
-        "wall": time.monotonic() - t0,
-    }
+    return run_mode(settings, mode)
 
 
 def main(argv=None):
@@ -63,14 +47,16 @@ def main(argv=None):
     for table in args.tables:
         for workload in args.workloads:
             rows = {m: run_one(table, workload, m, args.quick) for m in MODES}
-            base = rows["ip-only"]["cycles"]
+            base = rows["ip-only"]["total_cycles"]
             for mode in MODES:
-                r = rows[mode]
-                eff = r["useful"] / r["bus_bytes"] if r["bus_bytes"] else 0.0
-                speedups[mode].append(base / r["cycles"])
+                rep = rows[mode]
+                cycles = rep["total_cycles"]
+                bus = rep["bus"]
+                eff = bus["useful_bytes"] / bus["bytes"] if bus["bytes"] else 0.0
+                speedups[mode].append(base / cycles)
                 print(f"{table:18s} {workload:14s} {mode:12s} "
-                      f"{r['cycles']:12d} {r['cycles'] / r['nnz']:9.2f} "
-                      f"{base / r['cycles']:8.2f} "
+                      f"{cycles:12d} {cycles / rep['workload']['nnz']:9.2f} "
+                      f"{base / cycles:8.2f} "
                       f"{REFERENCE_SPEEDUP[mode]:10.2f} {eff:8.1%}")
             print()
     print("geometric-mean speedup over all runs "

@@ -10,17 +10,16 @@ The package has three layers:
     and the cycle engine that ties them together.
 """
 
-from .dram import Dram, DramConfig
+from .dram import BEAT_BYTES, Dram, DramConfig
 from .engine import (REFERENCE_SPEEDUP, Router, Simulator, SystemConfig,
-                     TracePlayer, baseline_system, compare_modes, replay_trace,
-                     simulate, verify_output)
+                     TracePlayer, replay_trace, simulate, verify_output)
 from .errors import (ConfigurationError, DataError, DeadlockError, LmbsimError,
                      NumericalError, ProtocolError, VerificationError)
 from .fabric import (AddressMap, FabricConfig, MemoryImage, MemoryRequest,
                      PeMachine, ReqKind, RequestTrace, build_machines,
                      fabric_mttkrp_kernel, partition_nonzeros, run_functional)
-from .memsys import (BEAT_BYTES, MODES, CacheConfig, DmaConfig, Lmb, LmbConfig,
-                     MshrConfig, RrshConfig, TempBufferConfig, xor_hash)
+from .memsys import (MODES, CacheConfig, DmaConfig, Lmb, LmbConfig, MshrConfig,
+                     RrshConfig, TempBufferConfig, xor_hash)
 from .tensor import (CooElement, CooTensor, CpAlsResult, FactorMatrix, GenSpec,
                      cp_als, gen_synthetic, mttkrp_mode, mttkrp_oracle)
 
@@ -34,8 +33,8 @@ __all__ = [
     "MemoryRequest", "MshrConfig", "NumericalError", "PeMachine",
     "ProtocolError", "REFERENCE_SPEEDUP", "ReqKind", "RequestTrace", "Router",
     "RrshConfig", "Simulator", "SystemConfig", "TempBufferConfig",
-    "TracePlayer", "VerificationError", "baseline_system", "build_machines",
-    "compare_modes", "cp_als", "fabric_mttkrp_kernel", "gen_synthetic",
+    "TracePlayer", "VerificationError", "build_machines", "cp_als",
+    "fabric_mttkrp_kernel", "gen_synthetic",
     "mttkrp_mode", "mttkrp_oracle", "partition_nonzeros", "replay_trace",
     "run_functional", "simulate", "verify_output", "xor_hash",
 ]

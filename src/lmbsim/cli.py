@@ -138,7 +138,27 @@ def _emit_rows(rows, columns, out_format, out_path):
         sys.stdout.write(text)
 
 
-def _parse_trace_file(path):
+def _trace_record_problem(rec, tags, system):
+    """Why a parsed trace record cannot replay on `system`; None if it can."""
+    cycle, kind, lmb, _, addr, nbytes, tag = rec
+    bits = system.dram.address_bits
+    if kind.upper() not in ReqKind.__members__:
+        return f"unknown request kind {kind!r}"
+    if nbytes <= 0:
+        return f"request length {nbytes} is not positive"
+    if tag in tags:
+        return f"repeated tag {tag}"
+    if cycle < 0:
+        return f"cycle {cycle} is negative"
+    if not 0 <= lmb < system.num_lmbs:
+        return f"block {lmb} is not one of the {system.num_lmbs} configured"
+    if addr < 0 or addr + nbytes > 1 << bits:
+        return (f"bytes {addr} to {addr + nbytes - 1} are outside the "
+                f"{bits}-bit address space")
+    return None
+
+
+def _parse_trace_file(path, system):
     records = []
     tags = set()
     try:
@@ -158,17 +178,10 @@ def _parse_trace_file(path):
                 except ValueError:
                     raise DataError(
                         f"{path} line {lineno}: malformed trace record") from None
-                _, kind, _, _, _, nbytes, tag = rec
-                if kind.upper() not in ReqKind.__members__:
-                    raise DataError(
-                        f"{path} line {lineno}: unknown request kind {kind!r}")
-                if nbytes <= 0:
-                    raise DataError(
-                        f"{path} line {lineno}: request length {nbytes} "
-                        f"is not positive")
-                if tag in tags:
-                    raise DataError(f"{path} line {lineno}: repeated tag {tag}")
-                tags.add(tag)
+                problem = _trace_record_problem(rec, tags, system)
+                if problem:
+                    raise DataError(f"{path} line {lineno}: {problem}")
+                tags.add(rec[6])
                 records.append(rec)
     except OSError as exc:
         raise DataError(f"cannot read trace file {path}: {exc}") from None
@@ -206,7 +219,7 @@ def cmd_run(args):
     built = cfgmod.build(settings)
     flat = cfgmod.flat_settings(settings)
     if args.trace_in:
-        records = _parse_trace_file(args.trace_in)
+        records = _parse_trace_file(args.trace_in, built.system)
         report = replay_trace(records, built.system, effective_config=flat)
         _emit_report(report, built.out_format, args.out)
         return 0
@@ -245,27 +258,38 @@ def _sweep_label_parts(preset_names):
     return letter, dataset
 
 
-def _sweep_worker(payload):
-    settings, rank, mode, verify, label_parts = payload
+def run_mode(settings, mode):
+    """One timed run of `mode` on resolved settings; returns its report.
+
+    proposed runs the settings as they are; any other mode runs them under
+    its baseline-<mode> preset, the conventional block it is compared with.
+    The settings passed in are left unchanged.
+    """
     settings = copy.deepcopy(settings)
-    settings["fabric"]["rank"] = str(rank)
     if mode == "proposed":
         settings["run"]["mode"] = "proposed"
     else:
         cfgmod.apply_preset(settings, f"baseline-{mode}")
-    if verify:
-        settings["run"]["verify"] = "true"
     built = cfgmod.build(settings)
     tensor, name = _load_workload(built)
-    d, c = _factors(tensor, rank, built.seed)
+    d, c = _factors(tensor, built.system.fabric.rank, built.seed)
     _, report = simulate(tensor, d, c, built.system, verify=built.verify,
                          workload_name=name)
-    fabric_type = built.system.fabric.fabric_type
+    return report
+
+
+def _sweep_worker(payload):
+    settings, rank, mode, label_parts = payload
+    settings = copy.deepcopy(settings)
+    settings["fabric"]["rank"] = str(rank)
+    report = run_mode(settings, mode)
+    workload = report["workload"]
     letter, dataset = label_parts
     if letter:
-        label = f"{letter}_{fabric_type.capitalize()}_{dataset or name}"
+        label = (f"{letter}_{workload['fabric_type'].capitalize()}_"
+                 f"{dataset or workload['name']}")
     else:
-        label = f"{name}_{fabric_type}"
+        label = f"{workload['name']}_{workload['fabric_type']}"
     return {
         "label": label,
         "rank": rank,
@@ -314,7 +338,7 @@ def cmd_sweep(args):
     if args.plot_script and (built.out_format != "csv" or not args.out):
         raise ConfigurationError("--plot-script needs --format csv and --out FILE")
     label_parts = _sweep_label_parts(args.preset)
-    tasks = [(settings, rank, mode, built.verify, label_parts)
+    tasks = [(settings, rank, mode, label_parts)
              for rank in built.sweep_ranks for mode in built.sweep_modes]
     if args.jobs > 1 and len(tasks) > 1:
         with multiprocessing.Pool(args.jobs) as pool:

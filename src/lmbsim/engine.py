@@ -41,7 +41,7 @@ engine jumps to the earliest wake or other pending event.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -215,7 +215,7 @@ class Simulator:
             now = self._now
             if self.route_by_pe:
                 req.lmb = req.pe % self.cfg.num_lmbs
-            if req.lmb >= self.cfg.num_lmbs:
+            if not 0 <= req.lmb < self.cfg.num_lmbs:
                 raise ConfigurationError(
                     f"request targets block {req.lmb}, only "
                     f"{self.cfg.num_lmbs} configured")
@@ -419,52 +419,5 @@ def replay_trace(records, syscfg: SystemConfig, effective_config=None):
     return sim.report(extra=extra, effective_config=effective_config)
 
 
-def baseline_system(mode: str, fabric: FabricConfig, dram: DramConfig):
-    """Conventional single-block system used as a comparison baseline."""
-    return SystemConfig(fabric=fabric, lmb=LmbConfig(mode=mode), num_lmbs=1,
-                        dram=dram)
-
-
-def compare_modes(tensor, d, c, syscfg: SystemConfig, label="", verify=False):
-    """Run the proposed system plus the three conventional baselines.
-
-    Speedups are measured against the ip-only baseline; reference_speedup is
-    the published figure for the same mode, for side-by-side reading.
-    """
-    rows = []
-    cycles = {}
-    for mode in ("ip-only", "cache-only", "dma-only", "proposed"):
-        if mode == "proposed":
-            cfg = syscfg
-        else:
-            cfg = baseline_system(mode, syscfg.fabric, syscfg.dram)
-        _, rep = simulate(tensor, d, c, cfg, verify=verify,
-                          workload_name=label)
-        cycles[mode] = rep["total_cycles"]
-    for mode in ("proposed", "dma-only", "cache-only", "ip-only"):
-        rows.append({
-            "label": label,
-            "mode": mode,
-            "cycles": cycles[mode],
-            "speedup": (cycles["ip-only"] / cycles[mode]) if cycles[mode] else 0.0,
-            "reference_speedup": REFERENCE_SPEEDUP[mode],
-        })
-    return rows
-
-
 def report_to_json(report):
     return json.dumps(report, sort_keys=True, indent=2)
-
-
-def system_config_dict(syscfg: SystemConfig):
-    """Flat section.key view of the effective configuration."""
-    flat = {}
-    for section, obj in (("fabric", syscfg.fabric), ("dram", syscfg.dram)):
-        for k, v in asdict(obj).items():
-            flat[f"{section}.{k}"] = v
-    flat["memsys.num_lmbs"] = syscfg.num_lmbs
-    flat["memsys.mode"] = syscfg.lmb.mode
-    for section in ("cache", "rrsh", "tempbuf", "dma", "mshr"):
-        for k, v in asdict(getattr(syscfg.lmb, section)).items():
-            flat[f"{section}.{k}"] = v
-    return flat

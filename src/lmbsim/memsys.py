@@ -1,20 +1,30 @@
-"""Local memory block: request reduction, cache, DMA engine, raw port.
+"""Local memory block: one set of shared parts, wired one of four ways.
 
-One Lmb instance models one memory block in one of four modes:
+The shared parts: a two-stage request reductor for element reads (TempBuffer
+probe of recent lines, then the RrshTable that parks a request on a line in
+flight); the cache lookup pipe (CachePipe over the tag-only CacheArray, whose
+misses take _FetchSlots and whose write pieces go out write-through,
+no-allocate); the DmaEngine (per-PE descriptor queues, round-robin beat
+issue, staging credits); split_beats, which cuts a request into 64-byte beats
+for the DMA engine and the raw port alike; and the port arbiter, one beat per
+cycle toward the router, round-robin over the mode's beat sources.
 
-  proposed    element reads pass a two-stage request reductor (TempBuffer
-              probe, then a hashed coalescing table) in front of a
-              non-blocking cache; factor-row reads and output-row writes go
-              through the DMA engine.
-  cache-only  every request is split into line pieces and fed through the
-              cache; misses take one MSHR slot per waiting piece (primary and
-              secondary alike) and stall the pipeline when slots run out;
-              writes are write-through, no-allocate.
-  dma-only    every request becomes a DMA descriptor, elements included, so
-              each 16-byte element costs a full 64-byte beat.
-  ip-only     raw port: one request per PE at a time, and the beats of a
-              request issue one by one, each waiting for the previous beat's
-              round trip.
+The mode picks, once, when the block is built, the wire each request kind
+enters on, the request-side step, what a returned line completes, and the
+arbiter's sources:
+
+  proposed    element reads: in_cache -> reductor -> lookup pipe, one fetch
+              slot per line; a returned line answers every parked request.
+              Other kinds: in_dma -> DMA engine.  Arbiter: fetches, DMA.
+  cache-only  everything: in_cache -> splitter -> lookup pipe, one line piece
+              per line a request touches, able to enter the pipe in the
+              cycle it is cut; one MSHR slot per waiting piece (primary and
+              secondary alike), and the pipe stalls when slots run out.
+              Arbiter: fetches, writes.
+  dma-only    everything: in_dma -> DMA engine, elements included, so each
+              16-byte element costs a full 64-byte beat.
+  ip-only     raw port: a wire per PE, one request per PE at a time, whose
+              beats issue one by one, each after the previous round trip.
 
 Timing contract: every arrow between stages is a 1-cycle timestamped wire.
 Within a cycle an Lmb first applies responses from memory, then advances the
@@ -29,11 +39,10 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 
+from .dram import BEAT_BYTES
 from .errors import ConfigurationError, ProtocolError
 from .fabric import ReqKind
 from .queues import INF, TimedFifo
-
-BEAT_BYTES = 64
 
 MODES = ("proposed", "cache-only", "dma-only", "ip-only")
 
@@ -182,6 +191,13 @@ def _lines_of(addr, nbytes):
     return range(_line_of(addr), _line_of(addr + nbytes - 1) + 1)
 
 
+def split_beats(addr, nbytes):
+    """(beat address, useful bytes) for each 64-byte beat a request covers."""
+    end = addr + nbytes
+    return [(beat, min(end, beat + BEAT_BYTES) - max(addr, beat))
+            for beat in range(addr - addr % BEAT_BYTES, end, BEAT_BYTES)]
+
+
 class TempBuffer:
     """FIFO of recently returned element lines; a probe hit skips the cache."""
 
@@ -251,21 +267,20 @@ class CacheArray:
     def _set_of(self, line):
         return self.sets[line % self.cfg.num_sets]
 
-    def lookup(self, line, touch=True):
-        s = self._set_of(line)
-        if line in s:
-            if touch:
-                s.remove(line)
-                s.append(line)
-            return True
-        return False
-
-    def insert(self, line):
+    def lookup(self, line):
+        """True on a hit, which makes the line most recently used."""
         s = self._set_of(line)
         if line in s:
             s.remove(line)
             s.append(line)
+            return True
+        return False
+
+    def insert(self, line):
+        """Fill a line (a hit only refreshes it); returns the evicted line."""
+        if self.lookup(line):
             return None
+        s = self._set_of(line)
         victim = None
         if len(s) >= self.cfg.assoc:
             victim = s.pop(0)
@@ -286,9 +301,6 @@ class _FetchSlots:
         self.per_request = per_request_slots
         self.lines = {}
         self.used = 0
-
-    def line_in_flight(self, line):
-        return line in self.lines
 
     def try_add(self, line, waiter):
         cost = 1 if self.per_request else (0 if line in self.lines else 1)
@@ -349,8 +361,8 @@ class DmaEngine:
         self.queues = {}   # pe -> waiting requests
         self._pes = []     # the keys of queues, sorted
         self._queued = 0   # requests in all queues
-        self.descs = []    # slot-holding, in id order: beats still to issue
-        self.pending = {}  # desc id -> response reassembly
+        self.descs = []    # slot-holding, in id order: (id, req, beats to issue)
+        self.pending = {}  # desc id -> [req, beats not yet answered]
         self.credits = cfg.beat_credits
         self._grant_rr = 0
         self._beat_rr = 0
@@ -373,13 +385,12 @@ class DmaEngine:
     def credit_return(self):
         self.credits += 1
 
-    def on_response(self, token, complete_cb):
-        desc_id, _ = token
+    def on_response(self, desc_id, complete_cb):
         rec = self.pending[desc_id]
-        rec["done"] += 1
-        if rec["done"] == rec["total"]:
+        rec[1] -= 1
+        if rec[1] == 0:
             del self.pending[desc_id]
-            complete_cb(rec["req"])
+            complete_cb(rec[0])
 
     def step_grant(self, now):
         if not self._queued:
@@ -395,15 +406,9 @@ class DmaEngine:
                 req = q.popleft()
                 self._queued -= 1
                 self._grant_rr = (self._grant_rr + off + 1) % len(pes)
-                beats = [line * BEAT_BYTES for line in
-                         _lines_of(req.addr, req.nbytes)]
-                self.descs.append({
-                    "id": self._next_desc, "req": req, "beats": beats,
-                    "next_beat": 0,
-                })
-                self.pending[self._next_desc] = {
-                    "req": req, "total": len(beats), "done": 0,
-                }
+                beats = deque(split_beats(req.addr, req.nbytes))
+                self.descs.append((self._next_desc, req, beats))
+                self.pending[self._next_desc] = [req, len(beats)]
                 self._next_desc += 1
                 self.stats["descs"] += 1
                 return True
@@ -415,45 +420,34 @@ class DmaEngine:
         if self.credits <= 0:
             self.stats["credit_stall_cycles"] += 1
             return False
-        descs = self.descs
-        count = len(descs)
-        for off in range(count):
-            idx = (self._beat_rr + off) % count
-            desc = descs[idx]
-            n = desc["next_beat"]
-            if n < len(desc["beats"]):
-                req = desc["req"]
-                rw = "w" if req.kind == ReqKind.WRITE else "r"
-                addr = desc["beats"][n]
-                useful = (min(req.addr + req.nbytes, addr + BEAT_BYTES)
-                          - max(req.addr, addr))
-                desc["next_beat"] += 1
-                self.credits -= 1
-                self.stats["beats"] += 1
-                self._beat_rr = (self._beat_rr + off + 1) % count
-                if desc["next_beat"] == len(desc["beats"]):
-                    del descs[idx]
-                emit(addr, rw, (desc["id"], n), useful)
-                return True
-        return False
+        # every listed descriptor has a beat left: it leaves with its last
+        count = len(self.descs)
+        idx = self._beat_rr % count
+        desc_id, req, beats = self.descs[idx]
+        addr, useful = beats.popleft()
+        self.credits -= 1
+        self.stats["beats"] += 1
+        self._beat_rr = (self._beat_rr + 1) % count
+        if not beats:
+            del self.descs[idx]
+        emit(addr, "w" if req.kind == ReqKind.WRITE else "r", desc_id, useful)
+        return True
 
 
 class Lmb:
-    """One memory block in one of the four modes."""
+    """One memory block; its mode picks how the shared parts are wired."""
 
     def __init__(self, lmb_id, cfg: LmbConfig, image):
         self.lmb_id = lmb_id
         self.cfg = cfg
         self.image = image
-        self.mode = cfg.mode
+        self.mode = mode = cfg.mode
         self.wake = INF       # step is a no-op before this cycle
         self._now = 0         # cycle of the step in progress
         self._stall_at = None  # last cycle the pipe head found no miss slot
         # wires toward this block; a push onto an empty one lowers wake
-        self.in_elem = TimedFifo(self)
-        self.in_fe = TimedFifo(self)
+        self.in_cache = TimedFifo(self)  # into the reductor or the splitter
         self.in_dma = TimedFifo(self)
-        self.in_ip = {}
         self.in_resp = TimedFifo(self)
         # wires away from this block
         self.to_router = TimedFifo()
@@ -468,54 +462,57 @@ class Lmb:
         }
         self.cache = CacheArray(cfg.cache)
         self.pipe = CachePipe(cfg.cache.pipeline_depth)
-        per_req = self.mode == "cache-only"
+        per_req = mode == "cache-only"
         cap = cfg.mshr.entries if per_req else cfg.cache.miss_slots
         self.fetch_slots = _FetchSlots(cap, per_req)
         self.tempbuf = TempBuffer(cfg.tempbuf)
         self.rrsh = RrshTable(cfg.rrsh)
         self.dma = DmaEngine(cfg.dma, self.stats)
         self._stage2 = TimedFifo()   # reductor stage 1 -> stage 2
-        self._intake = TimedFifo()   # stage 2 / splitter -> cache lookup
-        self._access_q = deque()     # cache-only pieces awaiting intake
+        self._intake = TimedFifo()   # stage 2 / splitter -> lookup pipe
         self._parents = {}           # cache-only: req id -> piece bookkeeping
         self._next_parent = 0
-        self._wr_tokens = {}
-        self._next_wr = 0
         self._cache_src = TimedFifo()  # fetch beats toward the arbiter
         self._dma_src = TimedFifo()
         self._wr_src = TimedFifo()
         self._ip_src = TimedFifo()
-        self._ip_state = {}          # pe -> {req, beats, next, waiting}
-        self._ip_pes = []            # the keys of _ip_state, sorted
+        self._ports = {}             # ip-only: pe -> {wire, req, beats, waiting}
+        self._port_pes = []          # the keys of _ports, sorted
         self._ip_rr = 0
         self._emit_dma = self._push_dma_beat
         self._fill_block = -1
         self._arb_rr = 0
-        self._sources = {
-            "proposed": (self._cache_src, self._dma_src),
-            "cache-only": (self._cache_src, self._wr_src),
-            "dma-only": (self._dma_src,),
-            "ip-only": (self._ip_src,),
-        }[self.mode]
+        # the wiring: request-side step, wire of element reads, wire of the
+        # other kinds, what a returned line completes, arbiter sources
+        cache, dma = self.in_cache, self.in_dma
+        (self._step_requests, self._elem_wire, self._other_wire,
+         self._finish_read, self._sources) = {
+            "proposed": (self._step_proposed, cache, dma,
+                         self._finish_elem_line,
+                         (self._cache_src, self._dma_src)),
+            "cache-only": (self._step_cache_only, cache, cache,
+                           self._piece_done, (self._cache_src, self._wr_src)),
+            "dma-only": (self._step_dma, dma, dma, None, (self._dma_src,)),
+            "ip-only": (self._step_ip, None, None, None, (self._ip_src,)),
+        }[mode]
+        self._wire_of = self._ip_wire if mode == "ip-only" else self._kind_wire
 
     # -- request intake from the fabric ---------------------------------
 
     def accept(self, req, now):
         self.stats["requests"] += 1
-        if self.mode == "proposed":
-            wire = self.in_elem if req.kind == ReqKind.ELEM else self.in_dma
-        elif self.mode == "cache-only":
-            wire = self.in_fe
-        elif self.mode == "dma-only":
-            wire = self.in_dma
-        else:
-            wire = self.in_ip.get(req.pe)
-            if wire is None:
-                wire = self.in_ip[req.pe] = TimedFifo(self)
-                self._ip_state[req.pe] = {"req": None, "beats": (), "next": 0,
-                                          "waiting": False}
-                insort(self._ip_pes, req.pe)
-        wire.push(now + 1, req)
+        self._wire_of(req).push(now + 1, req)
+
+    def _kind_wire(self, req):
+        return self._elem_wire if req.kind == ReqKind.ELEM else self._other_wire
+
+    def _ip_wire(self, req):
+        port = self._ports.get(req.pe)
+        if port is None:
+            port = self._ports[req.pe] = {"wire": TimedFifo(self), "req": None,
+                                          "beats": None, "waiting": False}
+            insort(self._port_pes, req.pe)
+        return port["wire"]
 
     # -- responses to the fabric -----------------------------------------
 
@@ -540,29 +537,29 @@ class Lmb:
             self._fill_block = now
             self.stats["fill_block_cycles"] += 1
             for waiter in self.fetch_slots.complete(line):
-                self._finish_read_piece(waiter, line, now)
+                self._finish_read(waiter, now, line)
         elif origin == "dma":
             self.dma.on_response(token, lambda req: self._respond(req, now))
         elif origin == "wr":
-            parent_id = self._wr_tokens.pop(token)
-            self._piece_done(parent_id, now)
+            self._piece_done(token, now)
         elif origin == "ip":
             self._ip_beat_done(token, now)
         else:
             raise ProtocolError(f"response with unknown origin {origin!r}")
 
-    def _finish_read_piece(self, waiter, line, now):
-        if self.mode == "proposed":
-            if waiter == "rrsh":
-                for req in self.rrsh.complete(line):
-                    self._respond(req, now)
-            else:
-                self._respond(waiter, now)
-            self.tempbuf.deposit(line)
+    def _finish_elem_line(self, waiter, now, line):
+        if waiter == "rrsh":
+            for req in self.rrsh.complete(line):
+                self._respond(req, now)
         else:
-            self._piece_done(waiter, now)
+            self._respond(waiter, now)
+        self.tempbuf.deposit(line)
 
-    def _piece_done(self, parent_id, now):
+    def _piece_done(self, parent_id, now, line=None):
+        """One piece of a split request is done; the last one answers.
+
+        A returned line passes its line number, which a piece does not need.
+        """
         parent = self._parents[parent_id]
         parent["left"] -= 1
         if parent["left"] == 0:
@@ -570,29 +567,27 @@ class Lmb:
             self._respond(parent["req"], now)
 
     def _ip_beat_done(self, pe, now):
-        st = self._ip_state[pe]
-        st["waiting"] = False
-        if st["next"] >= len(st["beats"]):
-            self._respond(st["req"], now)
-            st["req"] = None
+        port = self._ports[pe]
+        port["waiting"] = False
+        if not port["beats"]:
+            self._respond(port["req"], now)
+            port["req"] = None
 
-    # -- per-mode request side ---------------------------------------------
+    # -- request side --------------------------------------------------------
 
     def _step_proposed(self, now):
         moved = False
-        # stage 1: TempBuffer probe, one request per cycle
-        req = self.in_elem.peek(now)
+        # reductor stage 1: TempBuffer probe, one request per cycle
+        req = self.in_cache.pop(now)
         if req is not None:
             line = _line_of(req.addr)
             if self.tempbuf.probe(line):
-                self.in_elem.pop(now)
                 self.stats["tempbuf_hits"] += 1
                 self._respond(req, now)
             else:
-                self.in_elem.pop(now)
                 self._stage2.push(now + 1, (req, line))
             moved = True
-        # stage 2: coalescing table, one request per cycle
+        # reductor stage 2: coalescing table, one request per cycle
         head = self._stage2.peek(now)
         if head is not None:
             req, line = head
@@ -608,69 +603,35 @@ class Lmb:
             elif self.rrsh.can_take_waiter():
                 self._stage2.pop(now)
                 if self.rrsh.allocate(line, req):
-                    self._intake.push(now + 1, ("rrsh", line))
+                    self._intake.push(now + 1, (ReqKind.ELEM, "rrsh", line))
                 else:
                     self.stats["rrsh_bypass"] += 1
-                    self._intake.push(now + 1, (req, line))
+                    self._intake.push(now + 1, (ReqKind.ELEM, req, line))
                 moved = True
             else:
                 self.stats["rrsh_stall_cycles"] += 1
-        moved |= self._step_cache(now)
-        moved |= self.dma.step_grant(now)
-        moved |= self.dma.step_beats(now, self._emit_dma)
+        moved |= self._step_lookup(now)
+        moved |= self._step_dma(now)
         return moved
 
     def _step_cache_only(self, now):
         moved = False
-        # splitter: one request per cycle into line pieces
-        req = self.in_fe.pop(now)
+        # splitter: one request per cycle into line pieces, which may enter
+        # the pipe in this same cycle
+        req = self.in_cache.pop(now)
         if req is not None:
             parent_id = self._next_parent
             self._next_parent += 1
-            lines = list(_lines_of(req.addr, req.nbytes))
+            lines = _lines_of(req.addr, req.nbytes)
             self._parents[parent_id] = {"req": req, "left": len(lines)}
             for line in lines:
-                self._access_q.append((req.kind, parent_id, line))
+                self._intake.push(now, (req.kind, parent_id, line))
             moved = True
-        if self._access_q and self.pipe.can_accept() and self._fill_block != now:
-            self.pipe.accept(self._access_q.popleft(), now)
-            moved = True
-        head = self.pipe.head_due(now)
-        if head is not None:
-            kind, parent_id, line = head
-            if kind == ReqKind.WRITE:
-                self.pipe.pop_head()
-                self.cache.lookup(line, touch=True)  # write-through, no allocate
-                token = self._next_wr
-                self._next_wr += 1
-                self._wr_tokens[token] = parent_id
-                self.stats["write_beats"] += 1
-                self._wr_src.push(now + 1, Beat(self.lmb_id, "wr", token, "w",
-                                                line * BEAT_BYTES, BEAT_BYTES))
-                moved = True
-            elif self.cache.lookup(line):
-                self.pipe.pop_head()
-                self.stats["cache_hits"] += 1
-                self._piece_done(parent_id, now)
-                moved = True
-            else:
-                new_fetch = self.fetch_slots.try_add(line, parent_id)
-                if new_fetch is None:
-                    self.stats["miss_slot_stall_cycles"] += 1
-                    self._stall_at = now
-                else:
-                    self.pipe.pop_head()
-                    self.stats["cache_misses"] += 1
-                    if new_fetch:
-                        useful = 16 if kind == ReqKind.ELEM else BEAT_BYTES
-                        self._cache_src.push(
-                            now + 1, Beat(self.lmb_id, "cache", line, "r",
-                                          line * BEAT_BYTES, useful))
-                    moved = True
+        moved |= self._step_lookup(now)
         return moved
 
-    def _step_cache(self, now):
-        """Lookup pipeline shared by the proposed mode's element path."""
+    def _step_lookup(self, now):
+        """Lookup pipe: one intake and one outcome per cycle."""
         moved = False
         item = self._intake.peek(now)
         if item is not None and self.pipe.can_accept() and self._fill_block != now:
@@ -679,11 +640,18 @@ class Lmb:
             moved = True
         head = self.pipe.head_due(now)
         if head is not None:
-            waiter, line = head
-            if self.cache.lookup(line):
+            kind, waiter, line = head
+            if kind == ReqKind.WRITE:
+                self.pipe.pop_head()
+                self.cache.lookup(line)  # write-through, no allocate
+                self.stats["write_beats"] += 1
+                self._wr_src.push(now + 1, Beat(self.lmb_id, "wr", waiter, "w",
+                                                line * BEAT_BYTES, BEAT_BYTES))
+                moved = True
+            elif self.cache.lookup(line):
                 self.pipe.pop_head()
                 self.stats["cache_hits"] += 1
-                self._finish_read_piece(waiter, line, now)
+                self._finish_read(waiter, now, line)
                 moved = True
             else:
                 new_fetch = self.fetch_slots.try_add(line, waiter)
@@ -694,10 +662,11 @@ class Lmb:
                     self.pipe.pop_head()
                     self.stats["cache_misses"] += 1
                     if new_fetch:
-                        # element lines: 16 bytes consumed per waiting request
+                        # an element line serves 16 bytes per waiting request
+                        useful = 16 if kind == ReqKind.ELEM else BEAT_BYTES
                         self._cache_src.push(
                             now + 1, Beat(self.lmb_id, "cache", line, "r",
-                                          line * BEAT_BYTES, 16))
+                                          line * BEAT_BYTES, useful))
                     moved = True
         return moved
 
@@ -705,43 +674,36 @@ class Lmb:
         self._dma_src.push(self._now + 1, Beat(self.lmb_id, "dma", token, rw,
                                                addr, useful))
 
-    def _drain_dma_wire(self, now):
+    def _step_dma(self, now):
         moved = False
         req = self.in_dma.pop(now)
         while req is not None:
             self.dma.enqueue(req)
             moved = True
             req = self.in_dma.pop(now)
+        moved |= self.dma.step_grant(now)
+        moved |= self.dma.step_beats(now, self._emit_dma)
         return moved
 
     def _step_ip(self, now):
         moved = False
-        for pe, wire in self.in_ip.items():
-            st = self._ip_state[pe]
-            if st["req"] is None:
-                req = wire.pop(now)
+        for port in self._ports.values():
+            if port["req"] is None:
+                req = port["wire"].pop(now)
                 if req is not None:
-                    st["req"] = req
-                    st["beats"] = [line * BEAT_BYTES
-                                   for line in _lines_of(req.addr, req.nbytes)]
-                    st["next"] = 0
-                    st["waiting"] = False
+                    port["req"] = req
+                    port["beats"] = deque(split_beats(req.addr, req.nbytes))
                     moved = True
-        # issue at most one beat per cycle across PEs, round-robin
-        pes = self._ip_pes
+        # issue at most one beat per cycle across PEs, round-robin; a port
+        # not waiting on a beat has one left (its last answer frees it)
+        pes = self._port_pes
         for off in range(len(pes)):
             pe = pes[(self._ip_rr + off) % len(pes)]
-            st = self._ip_state[pe]
-            if st["req"] is not None and not st["waiting"] \
-                    and st["next"] < len(st["beats"]):
-                req = st["req"]
-                n = st["next"]
-                st["next"] += 1
-                st["waiting"] = True
-                rw = "w" if req.kind == ReqKind.WRITE else "r"
-                beat_addr = st["beats"][n]
-                useful = (min(req.addr + req.nbytes, beat_addr + BEAT_BYTES)
-                          - max(req.addr, beat_addr))
+            port = self._ports[pe]
+            if port["req"] is not None and not port["waiting"]:
+                rw = "w" if port["req"].kind == ReqKind.WRITE else "r"
+                beat_addr, useful = port["beats"].popleft()
+                port["waiting"] = True
                 self._ip_rr = (self._ip_rr + off + 1) % len(pes)
                 self._ip_src.push(now + 1, Beat(self.lmb_id, "ip", pe, rw,
                                                 beat_addr, useful))
@@ -766,17 +728,7 @@ class Lmb:
             self._apply_response(resp, now)
             moved = True
             resp = self.in_resp.pop(now)
-        if self.mode == "proposed":
-            moved |= self._drain_dma_wire(now)
-            moved |= self._step_proposed(now)
-        elif self.mode == "cache-only":
-            moved |= self._step_cache_only(now)
-        elif self.mode == "dma-only":
-            moved |= self._drain_dma_wire(now)
-            moved |= self.dma.step_grant(now)
-            moved |= self.dma.step_beats(now, self._emit_dma)
-        else:
-            moved |= self._step_ip(now)
+        moved |= self._step_requests(now)
         # port arbiter: one beat per cycle toward the router
         n = len(self._sources)
         for off in range(n):
@@ -803,33 +755,32 @@ class Lmb:
         """
         if self.dma.backlog():
             return now + 1
-        wake = min(self.in_resp.head_ready(), self.in_elem.head_ready(),
-                   self.in_fe.head_ready(), self.in_dma.head_ready(),
-                   self._stage2.head_ready(), self._cache_src.head_ready(),
-                   self._dma_src.head_ready(), self._wr_src.head_ready(),
-                   self._ip_src.head_ready())
+        wake = min(self.in_resp.head_ready(), self.in_cache.head_ready(),
+                   self.in_dma.head_ready(), self._stage2.head_ready(),
+                   self._cache_src.head_ready(), self._dma_src.head_ready(),
+                   self._wr_src.head_ready(), self._ip_src.head_ready())
         if self._stall_at is None:
             wake = min(wake, self.pipe.next_due())
         if self.pipe.can_accept():
             wake = min(wake, self._intake.head_ready())
-        for pe, w in self.in_ip.items():
-            if self._ip_state[pe]["req"] is None:
-                wake = min(wake, w.head_ready())
+        for port in self._ports.values():
+            if port["req"] is None:
+                wake = min(wake, port["wire"].head_ready())
         return max(wake, now + 1)
 
     def next_event(self, now):
         return self.wake
 
     def drained(self):
-        return (not self.in_elem and not self.in_fe and not self.in_dma
-                and not self.in_resp and not self._stage2 and not self._intake
-                and not self.pipe.entries and not self._access_q
+        return (not self.in_cache and not self.in_dma and not self.in_resp
+                and not self._stage2 and not self._intake
+                and not self.pipe.entries
                 and not self._cache_src and not self._dma_src
                 and not self._wr_src and not self._ip_src
                 and not self.to_router and not self.to_fabric
                 and not self._parents and not self.fetch_slots.lines
                 and not self.dma.descs and not self.dma.pending
                 and not self.dma.backlog()
-                and all(not w for w in self.in_ip.values())
-                and all(st["req"] is None for st in self._ip_state.values())
+                and all(port["req"] is None and not port["wire"]
+                        for port in self._ports.values())
                 and self.rrsh.pending == 0)

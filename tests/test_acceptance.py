@@ -13,16 +13,16 @@ import pytest
 from scipy import stats as sps
 
 from lmbsim import config as cfgmod
-from lmbsim.cli import main
+from lmbsim.cli import main, run_mode
 from lmbsim.dram import DramConfig
-from lmbsim.engine import (REFERENCE_SPEEDUP, SystemConfig, baseline_system,
-                           replay_trace, report_to_json, simulate,
-                           system_config_dict, verify_output)
+from lmbsim.engine import (REFERENCE_SPEEDUP, SystemConfig, replay_trace,
+                           report_to_json, simulate, verify_output)
 from lmbsim.fabric import FabricConfig, RequestTrace
 from lmbsim.memsys import CacheConfig, CacheArray, LmbConfig, MshrConfig, xor_hash
-from lmbsim.refmodel import SetAssocLruRef
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, cp_als,
                            gen_synthetic, mttkrp_oracle)
+
+from refmodel import SetAssocLruRef
 
 MODES = ("proposed", "cache-only", "dma-only", "ip-only")
 
@@ -97,15 +97,7 @@ def _preset_run(table, workload, mode):
     settings = cfgmod.default_settings()
     cfgmod.apply_preset(settings, table)
     cfgmod.apply_preset(settings, workload)
-    if mode != "proposed":
-        cfgmod.apply_preset(settings, f"baseline-{mode}")
-    built = cfgmod.build(settings)
-    tensor = gen_synthetic(built.gen)
-    rank = built.system.fabric.rank
-    d = FactorMatrix.random(tensor.dims[1], rank, seed=built.seed + 1)
-    c = FactorMatrix.random(tensor.dims[2], rank, seed=built.seed + 2)
-    _, report = simulate(tensor, d, c, built.system)
-    return report["total_cycles"]
+    return run_mode(settings, mode)["total_cycles"]
 
 
 def test_criterion_2_speedup_ordering():
@@ -312,7 +304,7 @@ def test_criterion_7_byte_identical_reports(tmp_path):
         texts = []
         for _ in range(2):
             _, rep = simulate(tensor, d, c, cfg,
-                              effective_config=system_config_dict(cfg),
+                              effective_config={"memsys.mode": cfg.lmb.mode},
                               workload_name="repeat")
             texts.append(report_to_json(rep))
         assert texts[0] == texts[1]

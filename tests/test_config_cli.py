@@ -379,3 +379,18 @@ def test_cli_trace_non_positive_length(tmp_path, capsys, nbytes):
     rc, err = _bad_trace_run(tmp_path, capsys, f"1 elem 0 0 64 {nbytes} 1")
     assert rc == 2
     assert "line 3" in err and f"request length {nbytes}" in err
+
+
+@pytest.mark.parametrize("record,message", [
+    ("1 elem 0 0 -64 16 1",
+     "bytes -64 to -49 are outside the 31-bit address space"),
+    ("1 elem 0 0 1099511627776 16 1", "outside the 31-bit address space"),
+    ("1 row_d 0 0 2147483632 32 1", "outside the 31-bit address space"),
+    ("1 elem -1 0 64 16 1", "block -1 is not one of the 1 configured"),
+    ("1 elem 1 0 64 16 1", "block 1 is not one of the 1 configured"),
+    ("-1 elem 0 0 64 16 1", "cycle -1 is negative"),
+])
+def test_cli_trace_record_out_of_range(tmp_path, capsys, record, message):
+    rc, err = _bad_trace_run(tmp_path, capsys, record)
+    assert rc == 2
+    assert "trace.txt line 3" in err and message in err

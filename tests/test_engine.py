@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from lmbsim.dram import DramConfig
-from lmbsim.engine import (REFERENCE_SPEEDUP, NullImage, Router, Simulator,
-                           SystemConfig, _percentiles, baseline_system,
-                           compare_modes, replay_trace, report_to_json,
-                           simulate, system_config_dict, verify_output)
+from lmbsim.engine import (NullImage, Router, Simulator, SystemConfig,
+                           _percentiles, replay_trace, report_to_json,
+                           simulate, verify_output)
 from lmbsim.errors import ConfigurationError, DeadlockError, VerificationError
 from lmbsim.fabric import FabricConfig, RequestTrace, run_functional
 from lmbsim.memsys import LmbConfig
@@ -157,7 +156,7 @@ def test_rank_mismatch_rejected():
 def test_reports_are_byte_identical_across_runs():
     t, d, c = random_case((14, 11, 9), 180, 8, seed=21)
     cfg = system(rank=8, num_lmbs=2)
-    eff = system_config_dict(cfg)
+    eff = {"memsys.num_lmbs": 2, "fabric.rank": 8}
     reports = []
     for _ in range(2):
         _, rep = simulate(t, d, c, cfg, effective_config=eff,
@@ -265,33 +264,12 @@ def test_engine_gives_up_when_work_remains_without_pending_events():
     assert DeadlockError("x").dump == ""
 
 
-# --- comparisons and report shape ----------------------------------------------
-
-def test_compare_modes_rows():
-    t, d, c = random_case((10, 8, 8), 80, 2, seed=2)
-    rows = compare_modes(t, d, c, system(rank=2), label="small")
-    assert [r["mode"] for r in rows] == ["proposed", "dma-only", "cache-only",
-                                         "ip-only"]
-    by_mode = {r["mode"]: r for r in rows}
-    assert by_mode["ip-only"]["speedup"] == 1.0
-    for r in rows:
-        assert r["cycles"] > 0
-        assert r["label"] == "small"
-        assert r["reference_speedup"] == REFERENCE_SPEEDUP[r["mode"]]
-
-
-def test_baseline_system_is_single_block():
-    cfg = system(rank=8, num_lmbs=4)
-    base = baseline_system("cache-only", cfg.fabric, cfg.dram)
-    assert base.num_lmbs == 1
-    assert base.lmb.mode == "cache-only"
-    assert base.fabric == cfg.fabric
-
+# --- report shape -------------------------------------------------------------
 
 def test_report_structure():
     t, d, c = random_case((8, 8, 8), 50, 2, seed=4)
     cfg = system(rank=2)
-    _, rep = simulate(t, d, c, cfg, effective_config=system_config_dict(cfg),
+    _, rep = simulate(t, d, c, cfg, effective_config={"fabric.rank": 2},
                       workload_name="shape")
     for key in ("total_cycles", "requests", "blocks", "router", "dram", "bus",
                 "pes", "workload", "config"):
@@ -304,17 +282,6 @@ def test_report_structure():
     assert rep["config"]["fabric.rank"] == 2
     json_text = report_to_json(rep)
     assert json_text.startswith("{")
-
-
-def test_system_config_dict_flattens_sections():
-    flat = system_config_dict(system(rank=8, num_lmbs=2, t_row_miss=50))
-    assert flat["fabric.rank"] == 8
-    assert flat["dram.t_row_miss"] == 50
-    assert flat["memsys.num_lmbs"] == 2
-    assert flat["memsys.mode"] == "proposed"
-    assert flat["cache.num_lines"] == 8192
-    assert flat["dma.desc_slots"] == 8
-    assert flat["mshr.entries"] == 8
 
 
 def test_percentiles_helper():

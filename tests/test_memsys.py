@@ -10,7 +10,8 @@ from lmbsim.fabric import MemoryRequest, ReqKind
 from lmbsim.memsys import (CacheArray, CacheConfig, CachePipe, DmaConfig,
                            DmaEngine, RrshConfig, RrshTable, TempBuffer,
                            TempBufferConfig, xor_hash, _FetchSlots)
-from lmbsim.refmodel import SetAssocLruRef
+
+from refmodel import SetAssocLruRef
 
 
 # --- xor fold hash ------------------------------------------------------------
