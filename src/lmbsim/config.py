@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import copy
-import io
 from dataclasses import dataclass
 
 from .dram import DramConfig
@@ -231,17 +230,6 @@ def apply_override(settings, spec):
         raise ConfigurationError(f"unknown setting {sec}.{key}")
     settings[sec][key] = value.strip()
     return settings
-
-
-def settings_to_ini(settings):
-    cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
-    for sec in DEFAULTS:
-        cp.add_section(sec)
-        for key in DEFAULTS[sec]:
-            cp.set(sec, key, settings[sec][key])
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
 
 
 def _as_int(settings, sec, key):

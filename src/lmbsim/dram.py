@@ -71,6 +71,9 @@ class _Bank:
 class Dram:
     def __init__(self, cfg: DramConfig):
         self.cfg = cfg
+        self.queue_depth = cfg.queue_depth
+        self.t_row_hit = cfg.t_row_hit
+        self.t_row_miss = cfg.t_row_miss
         self.banks = [_Bank() for _ in range(cfg.num_banks)]
         self.ingress = TimedFifo(self)  # beats from the router
         self.to_router = TimedFifo()    # completions toward the LMBs
@@ -128,7 +131,7 @@ class Dram:
             moved = True
         # 2. ingress with head-of-line blocking
         ingress = self.ingress
-        depth = self.cfg.queue_depth
+        depth = self.queue_depth
         if self._hol is not None:
             stats["hol_block_cycles"] += now - self._hol_at - 1
         while True:
@@ -155,10 +158,10 @@ class Dram:
             bank = banks[i]
             beat, row, arrived = bank.queue.popleft()
             if row == bank.open_row:
-                service = self.cfg.t_row_hit
+                service = self.t_row_hit
                 stats["row_hits"] += 1
             else:
-                service = self.cfg.t_row_miss
+                service = self.t_row_miss
                 stats["row_misses"] += 1
             bank.open_row = row
             bank.current = beat

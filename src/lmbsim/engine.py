@@ -29,13 +29,19 @@ numerics) and flow to one memory block chosen by pe modulo the block count.
 The engine steps every component once per loop iteration.  The DRAM, the
 router and each block keep a `wake` cycle, and a step below it is a no-op:
 the component sets its wake at the end of each step, and a push onto an empty
-input wire lowers it (see queues.py).  A DRAM head blocked on a full bank
-queue and a lookup-pipe head waiting for a miss slot are left out of the
-wake until what unblocks them happens (a service start on that bank, a fill
-on in_resp), so the two stall counters, hol_block_cycles and
+input wire lowers it (see queues.py).  The router's wake is its earliest
+input head, or the next cycle when a head is already ready (a block it did
+not pick).  The fabric side has a wake too: the Simulator owns the blocks'
+wires toward the fabric and scans them only from that cycle on, so a write
+ack pushed at `now` still reaches its PE in the same cycle.  A block runs
+each of its parts only when that part holds input.  A DRAM head blocked on a
+full bank queue and a lookup-pipe head waiting for a miss slot are left out
+of the wake until what unblocks them happens (a service start on that bank,
+a fill on in_resp), so the two stall counters, hol_block_cycles and
 miss_slot_stall_cycles, are charged per blocked interval: the next step adds
-the cycles slept, then checks once more.  When no step moved anything, the
-engine jumps to the earliest wake or other pending event.
+the cycles slept, then checks once more.  Only an iteration that moved
+nothing asks whether the run is done; if it is not, the engine jumps to the
+earliest wake or other pending event.
 """
 
 from __future__ import annotations
@@ -94,27 +100,35 @@ class Router:
         if now < self.wake:
             return False
         moved = False
-        n = len(self.lmbs)
+        lmbs = self.lmbs
+        n = len(lmbs)
         for off in range(n):
-            lmb = self.lmbs[(self._rr + off) % n]
-            beat = lmb.to_router.pop(now)
-            if beat is not None:
-                self._rr = (self._rr + off + 1) % n
-                self.dram.ingress.push(now + 1, beat)
-                self.stats["forwarded"] += 1
+            wire = lmbs[(self._rr + off) % n].to_router
+            if wire:
+                beat = wire.pop(now)
+                if beat is not None:
+                    self._rr = (self._rr + off + 1) % n
+                    self.dram.ingress.push(now + 1, beat)
+                    self.stats["forwarded"] += 1
+                    moved = True
+                    break
+        back = self.dram.to_router
+        if back:
+            beat = back.pop(now)
+            while beat is not None:
+                lmbs[beat.lmb].in_resp.push(now + 1, (beat.origin, beat.token))
+                self.stats["returned"] += 1
                 moved = True
-                break
-        beat = self.dram.to_router.pop(now)
-        while beat is not None:
-            self.lmbs[beat.lmb].in_resp.push(now + 1, (beat.origin, beat.token))
-            self.stats["returned"] += 1
-            moved = True
-            beat = self.dram.to_router.pop(now)
-        if moved:
-            self.wake = now + 1
-        else:
-            # nothing was ready, so every head lies ahead
-            self.wake = min(wire.head_ready() for wire in self._inputs)
+                beat = back.pop(now)
+        # the earliest input head, or the next cycle when one is already
+        # ready (a block not picked this cycle)
+        wake = INF
+        for wire in self._inputs:
+            if wire:
+                ready = wire.head_ready()
+                if ready < wake:
+                    wake = ready
+        self.wake = wake if wake > now else now + 1
         return moved
 
     def next_event(self, now):
@@ -204,8 +218,13 @@ class Simulator:
         self.lmbs = [Lmb(i, syscfg.lmb, image) for i in range(syscfg.num_lmbs)]
         self.dram = Dram(syscfg.dram)
         self.router = Router(self.lmbs, self.dram)
+        # the wires toward the fabric; a push onto an empty one lowers wake
+        self._to_fabric = [lmb.to_fabric for lmb in self.lmbs]
+        for wire in self._to_fabric:
+            wire.owner = self
+        self.wake = INF  # _fabric_step scans the wires from this cycle on
         self._inflight = {}
-        self._latencies = {k.name.lower(): [] for k in ReqKind}
+        self._latencies = {k: [] for k in ReqKind}
         self.total_cycles = 0
         self._now = 0
         self._sinks = [self._make_sink(w) for w in workloads]
@@ -219,7 +238,7 @@ class Simulator:
                 raise ConfigurationError(
                     f"request targets block {req.lmb}, only "
                     f"{self.cfg.num_lmbs} configured")
-            self._inflight[req.tag] = (workload, req.kind.name.lower(), now)
+            self._inflight[req.tag] = (workload, req.kind, now)
             if self.trace is not None:
                 self.trace.add(now, req)
             self.lmbs[req.lmb].accept(req, now)
@@ -228,18 +247,24 @@ class Simulator:
     def _fabric_step(self, now):
         moved = False
         self._now = now
-        for lmb in self.lmbs:
-            item = lmb.to_fabric.pop(now)
-            while item is not None:
-                tag, payload = item
-                try:
-                    workload, kind, issued = self._inflight.pop(tag)
-                except KeyError:
-                    raise ProtocolError(f"response for unknown tag {tag}") from None
-                self._latencies[kind].append(now - issued)
-                workload.deliver(tag, payload)
-                moved = True
-                item = lmb.to_fabric.pop(now)
+        if now >= self.wake:
+            wake = INF
+            for wire in self._to_fabric:
+                item = wire.pop(now)
+                while item is not None:
+                    tag, payload = item
+                    try:
+                        workload, kind, issued = self._inflight.pop(tag)
+                    except KeyError:
+                        raise ProtocolError(
+                            f"response for unknown tag {tag}") from None
+                    self._latencies[kind].append(now - issued)
+                    workload.deliver(tag, payload)
+                    moved = True
+                    item = wire.pop(now)
+                if wire:
+                    wake = min(wake, wire.head_ready())
+            self.wake = wake
         for w, sink in zip(self.workloads, self._sinks):
             # blocked machines re-arm want_step on delivery
             if w.want_step and w.step(now, sink):
@@ -254,9 +279,9 @@ class Simulator:
 
     def _next_event(self, now):
         nxt = self.dram.next_event(now)
-        nxt = min(nxt, self.router.next_event(now))
+        nxt = min(nxt, self.router.next_event(now), self.wake)
         for lmb in self.lmbs:
-            nxt = min(nxt, lmb.next_event(now), lmb.to_fabric.head_ready())
+            nxt = min(nxt, lmb.next_event(now))
         for w in self.workloads:
             nxt = min(nxt, w.next_event(now))
         return nxt
@@ -275,10 +300,11 @@ class Simulator:
     def run(self):
         now = 0
         last_progress = 0
-        while not self._done():
-            moved = self.dram.step(now)
-            moved |= self.router.step(now)
-            for lmb in self.lmbs:
+        dram, router, lmbs = self.dram, self.router, self.lmbs
+        while True:
+            moved = dram.step(now)
+            moved |= router.step(now)
+            for lmb in lmbs:
                 moved |= lmb.step(now)
             moved |= self._fabric_step(now)
             if moved:
@@ -286,10 +312,11 @@ class Simulator:
                 last_progress = now
                 now += 1
             else:
+                # a run can only end on an iteration that moved nothing
+                if self._done():
+                    break
                 nxt = self._next_event(now)
                 if nxt == INF:
-                    if self._done():
-                        break
                     raise DeadlockError(
                         "no pending events but work remains",
                         dump=self._dump_state(now))
@@ -328,7 +355,8 @@ class Simulator:
         bus_useful = dram_stats.pop("bus_useful_bytes")
         report = {
             "total_cycles": self.total_cycles,
-            "requests": {k: _percentiles(v) for k, v in self._latencies.items()},
+            "requests": {k.name.lower(): _percentiles(v)
+                         for k, v in self._latencies.items()},
             "blocks": {
                 "count": len(self.lmbs),
                 "mode": self.cfg.lmb.mode,

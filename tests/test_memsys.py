@@ -30,6 +30,13 @@ def test_xor_hash_rejects_non_power_of_two():
         xor_hash(5, 12)
 
 
+@pytest.mark.parametrize("buckets", [1, 1024])
+def test_xor_hash_rejects_negative_value(buckets):
+    # a negative value never shifts down to zero, so it must not reach the loop
+    with pytest.raises(ConfigurationError, match="-1"):
+        xor_hash(-1, buckets)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=2**48),
        st.sampled_from([2, 16, 256, 1024]))
