@@ -78,7 +78,11 @@ def _flag_overrides(args):
 def _load_workload(built):
     """Load or generate the tensor; returns (sorted tensor, display name)."""
     if built.tensor_file:
-        tensor = tensor_io.load(built.tensor_file)
+        try:
+            tensor = tensor_io.load(built.tensor_file)
+        except OSError as exc:
+            raise DataError(
+                f"cannot read tensor file {built.tensor_file}: {exc}") from None
         name = os.path.splitext(os.path.basename(built.tensor_file))[0]
     else:
         tensor = gen_synthetic(built.gen)

@@ -14,8 +14,14 @@ write.  Two arrangements are modeled:
 
 The same machine logic runs under an instant-responder harness (functional
 results, request traces) and under the cycle engine (timing).  Both therefore
-produce identical numerics: per-row sums are carried in float64 and rounded to
-float32 once per flush.
+produce identical numerics: factor rows enter the accumulator as float64,
+converted once when MemoryImage.read serves them; per-row sums start from
+zero, are carried in float64 in element order, and are rounded to float32
+once per flush.
+
+Each slot counts its arrivals (the element, then its two rows) and commits
+at three.  Each machine counts the slots whose element is here and that still
+have a row to issue, so asking whether a row load waits costs no scan.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ProtocolError
+from .queues import INF
 from .tensor import ELEMENT_BYTES, VALUE_BYTES, CooTensor, FactorMatrix
 
 ADDRESS_LIMIT_BITS = 48
@@ -154,21 +161,19 @@ class FabricConfig:
 
 
 class _Slot:
-    __slots__ = ("z", "i", "j", "k", "val", "elem_here", "d_issued", "c_issued",
+    """One element in flight; a machine's slots are in element order."""
+
+    __slots__ = ("i", "j", "k", "val", "arrived", "d_issued", "c_issued",
                  "d_row", "c_row")
 
-    def __init__(self, z):
-        self.z = z
+    def __init__(self):
         self.i = self.j = self.k = -1
         self.val = 0.0
-        self.elem_here = False
+        self.arrived = 0  # the element, then its two rows: complete at 3
         self.d_issued = False
         self.c_issued = False
         self.d_row = None
         self.c_row = None
-
-    def complete(self):
-        return self.elem_here and self.d_row is not None and self.c_row is not None
 
 
 # Port issue categories in fixed priority order.
@@ -178,23 +183,31 @@ _CAT_WRITE, _CAT_FIBER, _CAT_ELEM = 0, 1, 2
 class PeMachine:
     """One element-stream state machine with in-order row accumulation.
 
-    `ports` maps category -> (port index, pe id on requests).  type2 uses one
-    port for all categories; type1 splits element loads, row loads, and row
-    stores onto three ports.  Each port issues at most one request per cycle
-    and holds at most `max_outstanding` in flight.
+    `ports` maps each category to (port index, pe id on requests).  type2
+    uses one port for all categories; type1 splits element loads, row loads,
+    and row stores onto three ports.  Each port issues at most one request
+    per cycle and holds at most `max_outstanding` in flight.
+
+    `row_wait` counts the slots whose element has arrived and that still
+    have a row to issue: a delivered element adds one, issuing its C row
+    takes one away.  It stands in for a scan of the slots wherever the
+    machine asks whether a row load is waiting.  The slot walk that picks
+    the row to issue stays, because timed elements arrive out of order and
+    the lowest z goes first.
     """
 
-    __slots__ = ("cfg", "amap", "lo", "hi", "next_z", "slots", "slot_cap",
+    __slots__ = ("cfg", "lo", "hi", "next_z", "slots", "slot_cap",
                  "cur_i", "temp_y", "acc_busy_until", "pending_flush",
-                 "inflight", "outstanding", "port_ids", "_cat_write",
-                 "_cat_fiber", "_cat_elem", "_next_tag",
+                 "inflight", "outstanding", "max_outstanding", "row_wait",
+                 "_dispatch", "_write_port", "_fiber_port", "_elem_port",
+                 "_row_bytes", "_d_base", "_c_base", "_out_base",
+                 "_tensor_base", "_next_tag",
                  "issue_count", "accum_busy_cycles", "first_cycle", "last_cycle",
-                 "want_step", "final_flush_done")
+                 "want_step")
 
     def __init__(self, cfg: FabricConfig, lo, hi, amap: AddressMap, ports,
                  tag_base=0):
         self.cfg = cfg
-        self.amap = amap
         self.lo = lo
         self.hi = hi
         self.next_z = lo
@@ -205,19 +218,30 @@ class PeMachine:
         self.acc_busy_until = 0
         self.pending_flush = None
         self.inflight = {}
-        # each category's (port, pe id), or None when the machine lacks it
-        self._cat_write = ports.get(_CAT_WRITE)
-        self._cat_fiber = ports.get(_CAT_FIBER)
-        self._cat_elem = ports.get(_CAT_ELEM)
-        self.port_ids = sorted({p for p, _ in ports.values()})
-        self.outstanding = {p: 0 for p in self.port_ids}
+        self.max_outstanding = cfg.max_outstanding
+        self.row_wait = 0
+        self._write_port = ports[_CAT_WRITE][0]
+        self._fiber_port = ports[_CAT_FIBER][0]
+        self._elem_port = ports[_CAT_ELEM][0]
+        # per port, in port order: (port, then the pe id it issues writes,
+        # row loads and element loads under, or None for a category it lacks)
+        port_ids = sorted({p for p, _ in ports.values()})
+        self._dispatch = tuple(
+            (p, *(ports[cat][1] if ports[cat][0] == p else None
+                  for cat in (_CAT_WRITE, _CAT_FIBER, _CAT_ELEM)))
+            for p in port_ids)
+        self.outstanding = [0] * (port_ids[-1] + 1)
+        self._row_bytes = amap.row_bytes
+        self._tensor_base = amap.tensor_base
+        self._d_base = amap.d_base
+        self._c_base = amap.c_base
+        self._out_base = amap.out_base
         self._next_tag = tag_base
         self.issue_count = 0
         self.accum_busy_cycles = 0
         self.first_cycle = None
         self.last_cycle = 0
         self.want_step = hi > lo
-        self.final_flush_done = hi <= lo
 
     # -- response side -------------------------------------------------
 
@@ -230,13 +254,15 @@ class PeMachine:
         self.outstanding[port] -= 1
         self.want_step = True
         if purpose == "elem":
-            target.i, target.j, target.k = payload.i, payload.j, payload.k
-            target.val = payload.val
-            target.elem_here = True
+            target.i, target.j, target.k, target.val = payload
+            target.arrived = 1
+            self.row_wait += 1
         elif purpose == "drow":
             target.d_row = payload
+            target.arrived += 1
         elif purpose == "crow":
             target.c_row = payload
+            target.arrived += 1
         # writes need no payload; dropping the tag releases the port slot
 
     # -- compute side ----------------------------------------------------
@@ -246,111 +272,97 @@ class PeMachine:
             return
         if self.slots:
             head = self.slots[0]
-            if not head.complete():
+            if head.arrived != 3:
                 return
             if self.cur_i is not None and head.i != self.cur_i:
                 if self.pending_flush is not None:
                     return  # previous row still waiting for the store port
                 self.pending_flush = (self.cur_i, self.temp_y.astype(np.float32))
-                self.temp_y[:] = 0.0
+                self.temp_y.fill(0.0)
             self.cur_i = head.i
-            self.temp_y += head.val * (head.d_row.astype(np.float64)
-                                       * head.c_row.astype(np.float64))
+            # the rows arrived in float64 (MemoryImage.read)
+            self.temp_y += head.val * (head.d_row * head.c_row)
             self.slots.popleft()
             self.acc_busy_until = now + self.cfg.accumulate_cycles
             self.accum_busy_cycles += self.cfg.accumulate_cycles
         elif (self.next_z >= self.hi and self.cur_i is not None
               and self.pending_flush is None):
             self.pending_flush = (self.cur_i, self.temp_y.astype(np.float32))
-            self.temp_y[:] = 0.0
+            self.temp_y.fill(0.0)
             self.cur_i = None
-            self.final_flush_done = True
 
     # -- request side ----------------------------------------------------
 
-    def _make_req(self, kind, addr, nbytes, pe, now, sem):
-        tag = self._next_tag
-        self._next_tag += 1
-        return MemoryRequest(kind, addr, nbytes, pe, tag, now, sem)
-
-    def _issue_on_port(self, port, now):
-        cat_write = self._cat_write
-        if (cat_write and cat_write[0] == port and self.pending_flush is not None
-                and self.outstanding[port] < self.cfg.max_outstanding):
-            i, row = self.pending_flush
-            self.pending_flush = None
-            req = self._make_req(ReqKind.WRITE, self.amap.out_row_addr(i),
-                                 self.amap.row_bytes, cat_write[1], now,
-                                 ("out", i, row))
-            self.inflight[req.tag] = ("write", None, port)
-            self.outstanding[port] += 1
-            return req
-        cat_fiber = self._cat_fiber
-        if (cat_fiber and cat_fiber[0] == port
-                and self.outstanding[port] < self.cfg.max_outstanding):
-            for slot in self.slots:
-                if not slot.elem_here:
-                    continue
-                if not slot.d_issued:
-                    slot.d_issued = True
-                    req = self._make_req(ReqKind.ROW_D, self.amap.d_row_addr(slot.j),
-                                         self.amap.row_bytes, cat_fiber[1], now,
-                                         ("drow", slot.j))
-                    self.inflight[req.tag] = ("drow", slot, port)
-                    self.outstanding[port] += 1
-                    return req
-                if not slot.c_issued:
-                    slot.c_issued = True
-                    req = self._make_req(ReqKind.ROW_C, self.amap.c_row_addr(slot.k),
-                                         self.amap.row_bytes, cat_fiber[1], now,
-                                         ("crow", slot.k))
-                    self.inflight[req.tag] = ("crow", slot, port)
-                    self.outstanding[port] += 1
-                    return req
-        cat_elem = self._cat_elem
-        if (cat_elem and cat_elem[0] == port and self.next_z < self.hi
-                and len(self.slots) < self.slot_cap
-                and self.outstanding[port] < self.cfg.max_outstanding):
-            z = self.next_z
-            self.next_z += 1
-            slot = _Slot(z)
-            self.slots.append(slot)
-            req = self._make_req(ReqKind.ELEM, self.amap.element_addr(z),
-                                 ELEMENT_BYTES, cat_elem[1], now, ("elem", z))
-            self.inflight[req.tag] = ("elem", slot, port)
-            self.outstanding[port] += 1
-            return req
-        return None
-
     def step(self, now, sink):
-        """Commit at most one element, then issue at most one request per port."""
+        """Commit at most one element, then issue at most one request per port.
+
+        A port at `max_outstanding` issues nothing; otherwise it issues its
+        first category with work: a pending row store, then a row load for
+        the lowest-z slot that holds its element, then the next element.
+        """
         self._commit(now)
         issued_any = False
-        for port in self.port_ids:
-            req = self._issue_on_port(port, now)
-            if req is not None:
-                sink(req)
-                self.issue_count += 1
-                issued_any = True
-                if self.first_cycle is None:
-                    self.first_cycle = now
-                self.last_cycle = now
+        out = self.outstanding
+        w = self.max_outstanding
+        for port, write_pe, fiber_pe, elem_pe in self._dispatch:
+            if out[port] >= w:
+                continue
+            tag = self._next_tag
+            if write_pe is not None and self.pending_flush is not None:
+                i, row = self.pending_flush
+                self.pending_flush = None
+                req = MemoryRequest(ReqKind.WRITE,
+                                    self._out_base + i * self._row_bytes,
+                                    self._row_bytes, write_pe, tag, now,
+                                    ("out", i, row))
+                self.inflight[tag] = ("write", None, port)
+            elif fiber_pe is not None and self.row_wait:
+                for slot in self.slots:  # the lowest z with a row to issue
+                    if slot.arrived and not slot.c_issued:
+                        break
+                if not slot.d_issued:
+                    slot.d_issued = True
+                    req = MemoryRequest(ReqKind.ROW_D,
+                                        self._d_base + slot.j * self._row_bytes,
+                                        self._row_bytes, fiber_pe, tag, now,
+                                        ("drow", slot.j))
+                    self.inflight[tag] = ("drow", slot, port)
+                else:
+                    slot.c_issued = True
+                    self.row_wait -= 1
+                    req = MemoryRequest(ReqKind.ROW_C,
+                                        self._c_base + slot.k * self._row_bytes,
+                                        self._row_bytes, fiber_pe, tag, now,
+                                        ("crow", slot.k))
+                    self.inflight[tag] = ("crow", slot, port)
+            elif (elem_pe is not None and self.next_z < self.hi
+                  and len(self.slots) < self.slot_cap):
+                z = self.next_z
+                self.next_z = z + 1
+                slot = _Slot()
+                self.slots.append(slot)
+                req = MemoryRequest(ReqKind.ELEM,
+                                    self._tensor_base + z * ELEMENT_BYTES,
+                                    ELEMENT_BYTES, elem_pe, tag, now, ("elem", z))
+                self.inflight[tag] = ("elem", slot, port)
+            else:
+                continue
+            self._next_tag = tag + 1
+            out[port] += 1
+            sink(req)
+            self.issue_count += 1
+            issued_any = True
+            if self.first_cycle is None:
+                self.first_cycle = now
+            self.last_cycle = now
         # Backlog that needs no external event to make progress next cycle.
         # Ports at max outstanding cannot act; deliver() re-arms want_step.
-        w = self.cfg.max_outstanding
-        out = self.outstanding
-        cw = self._cat_write
-        cf = self._cat_fiber
-        ce = self._cat_elem
         self.want_step = (
-            (self.pending_flush is not None and cw is not None
-             and out[cw[0]] < w)
-            or (ce is not None and self.next_z < self.hi
-                and len(self.slots) < self.slot_cap and out[ce[0]] < w)
-            or (cf is not None and out[cf[0]] < w
-                and any(s.elem_here and not (s.d_issued and s.c_issued)
-                        for s in self.slots))
-            or (self.slots and self.slots[0].complete())
+            (self.pending_flush is not None and out[self._write_port] < w)
+            or (self.next_z < self.hi and len(self.slots) < self.slot_cap
+                and out[self._elem_port] < w)
+            or (self.row_wait and out[self._fiber_port] < w)
+            or (self.slots and self.slots[0].arrived == 3)
             or (self.next_z >= self.hi and not self.slots
                 and self.cur_i is not None))
         return issued_any
@@ -360,7 +372,7 @@ class PeMachine:
             return now + 1
         if now < self.acc_busy_until and (self.slots or self.cur_i is not None):
             return self.acc_busy_until
-        return float("inf")
+        return INF
 
     def idle(self):
         """True once every element is committed, flushed, and acknowledged."""
@@ -407,9 +419,9 @@ class MemoryImage:
         if kind == "elem":
             return self.tensor.element(sem[1])
         if kind == "drow":
-            return self.d.values[sem[1]].copy()
+            return self.d.values[sem[1]].astype(np.float64)
         if kind == "crow":
-            return self.c.values[sem[1]].copy()
+            return self.c.values[sem[1]].astype(np.float64)
         raise ProtocolError(f"read of non-readable payload {sem!r}")
 
     def write(self, sem):
@@ -461,6 +473,7 @@ def run_functional(tensor: CooTensor, d: FactorMatrix, c: FactorMatrix,
     pending = deque()  # (ready_cycle, machine, tag, payload)
     now = 0
     guard = 0
+    guard_limit = 100 * max(tensor.nnz, 1) + 10000
 
     def make_sink(mach):
         def sink(req):
@@ -485,18 +498,20 @@ def run_functional(tensor: CooTensor, d: FactorMatrix, c: FactorMatrix,
             # a delivery re-arms it
             if mach.want_step and mach.step(now, sink):
                 active = True
-        if all(m.idle() for m in machines) and not pending:
-            break
         if not active and not pending:
-            # no requests moving and machines not idle: acc busy or stalled
+            # an issue leaves a request pending, so only a quiet cycle can
+            # find every machine idle
+            if all(m.idle() for m in machines):
+                break
+            # machines not idle: accumulator busy or stalled
             nxt = min(m.next_event(now) for m in machines)
-            if nxt == float("inf"):
+            if nxt == INF:
                 raise ProtocolError("functional run stalled with work remaining")
             now = int(nxt)
         else:
             now += 1
         guard += 1
-        if guard > 100 * max(tensor.nnz, 1) + 10000:
+        if guard > guard_limit:
             raise ProtocolError("functional run exceeded cycle guard")
     return image.result(cfg.rank)
 

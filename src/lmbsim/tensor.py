@@ -11,6 +11,7 @@ simulated configuration is checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +24,7 @@ VALUE_BYTES = 4
 _MAX_GEN_VOLUME = 1 << 62
 
 
-@dataclass(frozen=True)
-class CooElement:
+class CooElement(NamedTuple):
     """One nonzero: coordinates and value, as moved by the memory system."""
 
     i: int
@@ -104,8 +104,8 @@ class CooTensor:
                          self.vals[order], check=False)
 
     def element(self, z):
-        return CooElement(int(self.i[z]), int(self.j[z]), int(self.k[z]),
-                          float(self.vals[z]))
+        return CooElement(self.i.item(z), self.j.item(z), self.k.item(z),
+                          self.vals.item(z))
 
     def densify(self):
         """Dense ndarray of shape dims; guarded against absurd volumes."""
@@ -266,6 +266,8 @@ def cp_als(tensor: CooTensor, rank, max_iters=50, tol=1e-6, seed=0,
     """
     if rank < 1:
         raise ConfigurationError(f"rank must be positive, got {rank}")
+    if max_iters < 0:
+        raise ConfigurationError(f"max_iters must be non-negative, got {max_iters}")
     i_ext, j_ext, k_ext = tensor.dims
     result = CpAlsResult(a=None, d=None, c=None, lam=np.ones(rank), iterations=0)
     if min(tensor.dims) > 0 and rank > min(tensor.dims):

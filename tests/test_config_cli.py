@@ -218,7 +218,7 @@ def test_cli_run_emits_and_replays_trace(tmp_path):
     assert r2["dram"] == r1["dram"]
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--set", "fabric.nope=1"]) == 2
     assert main(["run", "--preset", "nope"]) == 2
     rc = main(["run", "--verify", "--rank", "2",
@@ -226,6 +226,17 @@ def test_cli_exit_codes(tmp_path):
                "--set", "debug.corrupt_output=true",
                "--out", str(tmp_path / "r.json")])
     assert rc == 3
+    capsys.readouterr()
+    # a missing tensor file, or a directory named as one
+    for path in (tmp_path / "missing.tns", tmp_path):
+        for command in ("run", "sweep", "cpd"):
+            assert main([command, "--tensor", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"cannot read tensor file {path}" in err
+            assert "Traceback" not in err
+    assert main(["cpd", "--iters", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "max_iters" in err and "Traceback" not in err
 
 
 def test_cli_sweep_csv(tmp_path):

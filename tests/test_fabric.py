@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmbsim.engine import SystemConfig, simulate
 from lmbsim.errors import ConfigurationError, ProtocolError
-from lmbsim.fabric import (AddressMap, FabricConfig, MemoryImage, RequestTrace,
-                           build_machines, fabric_mttkrp_kernel,
+from lmbsim.fabric import (AddressMap, FabricConfig, MemoryImage, PeMachine,
+                           RequestTrace, build_machines, fabric_mttkrp_kernel,
                            partition_nonzeros, run_functional)
+from lmbsim.memsys import MODES, LmbConfig
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, cp_als,
                            gen_synthetic, mttkrp_oracle)
 
@@ -112,6 +114,21 @@ def sorted_tensor(dims, nnz, seed, clustered=False):
     return gen_synthetic(spec).sorted_mode0()
 
 
+def signed_zero_factors(d, c):
+    """Copies of d and c holding 0.0, -0.0 and negative entries.
+
+    Every product in column 0 is -0.0, so each row's sum there is +0.0 only
+    because it starts from zero; column 1 mixes both zeros with negative and
+    positive products.
+    """
+    dv, cv = d.values.copy(), c.values.copy()
+    dv[1::2] *= -1
+    dv[:, 0] = -0.0
+    cv[::3, 1] = 0.0
+    cv[1::3, 1] = -0.0
+    return FactorMatrix(d.rows, d.rank, dv), FactorMatrix(c.rows, c.rank, cv)
+
+
 @pytest.mark.parametrize("fabric_type", ["type1", "type2"])
 @pytest.mark.parametrize("rank", [2, 8, 32])
 def test_functional_matches_oracle_bitexact(fabric_type, rank):
@@ -119,10 +136,14 @@ def test_functional_matches_oracle_bitexact(fabric_type, rank):
     d = FactorMatrix.random(9, rank, seed=3)
     c = FactorMatrix.random(14, rank, seed=4)
     cfg = FabricConfig(fabric_type=fabric_type, pe_count=4, rank=rank)
-    got = run_functional(t, d, c, cfg)
-    want = mttkrp_oracle(t, d, c)
-    # same per-row accumulation order as the oracle, so no tolerance needed
-    assert np.array_equal(got.values, want.values)
+    for d_in, c_in in ((d, c), signed_zero_factors(d, c)):
+        got = run_functional(t, d_in, c_in, cfg)
+        want = mttkrp_oracle(t, d_in, c_in)
+        # same zero-started, in-order float64 sum per row as the oracle, so
+        # the bits agree, the sign of every zero included
+        assert got.values.tobytes() == want.values.tobytes()
+    # the signed-zero run's column 0 sums only -0.0 products
+    assert not np.signbit(got.values[np.unique(t.i), 0]).any()
 
 
 def test_functional_empty_tensor():
@@ -152,6 +173,68 @@ def test_functional_rejects_rank_mismatch():
     with pytest.raises(ConfigurationError, match="rank"):
         run_functional(t, FactorMatrix.random(4, 2, seed=0),
                        FactorMatrix.random(4, 2, seed=1), cfg)
+
+
+def scanned_want_step(m):
+    """want_step as a scan of the slots computes it, without row_wait."""
+    w, out = m.max_outstanding, m.outstanding
+    return bool(
+        (m.pending_flush is not None and out[m._write_port] < w)
+        or (m.next_z < m.hi and len(m.slots) < m.slot_cap
+            and out[m._elem_port] < w)
+        or (out[m._fiber_port] < w
+            and any(s.i >= 0 and not (s.d_issued and s.c_issued)
+                    for s in m.slots))
+        or (m.slots and m.slots[0].i >= 0 and m.slots[0].d_row is not None
+            and m.slots[0].c_row is not None)
+        or (m.next_z >= m.hi and not m.slots and m.cur_i is not None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(*(st.integers(min_value=1, max_value=6),) * 3),
+    nnz=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=1000),
+    fabric_type=st.sampled_from(["type1", "type2"]),
+    pe_count=st.integers(min_value=1, max_value=8),
+    max_outstanding=st.integers(min_value=1, max_value=16),
+    accumulate_cycles=st.integers(min_value=1, max_value=3),
+    mode=st.sampled_from(MODES),
+    num_lmbs=st.integers(min_value=1, max_value=4),
+)
+def test_row_wait_counts_slots_awaiting_rows(dims, nnz, seed, fabric_type,
+                                            pe_count, max_outstanding,
+                                            accumulate_cycles, mode, num_lmbs):
+    t = sorted_tensor(dims, min(nnz, dims[0] * dims[1] * dims[2]), seed=seed)
+    rank = 4
+    d = FactorMatrix.random(dims[1], rank, seed=seed + 1)
+    c = FactorMatrix.random(dims[2], rank, seed=seed + 2)
+    cfg = FabricConfig(fabric_type=fabric_type, pe_count=pe_count,
+                       max_outstanding=max_outstanding,
+                       accumulate_cycles=accumulate_cycles, rank=rank)
+    steps = [0]
+    step = PeMachine.step
+
+    def checked_step(m, now, sink):
+        issued = step(m, now, sink)
+        steps[0] += 1
+        # i is set when the element arrives; rows only after it
+        assert m.row_wait == sum(1 for s in m.slots
+                                 if s.i >= 0 and not s.c_issued)
+        for s in m.slots:
+            assert s.arrived == ((s.i >= 0) + (s.d_row is not None)
+                                 + (s.c_row is not None))
+        assert bool(m.want_step) == scanned_want_step(m)
+        return issued
+
+    PeMachine.step = checked_step
+    try:
+        run_functional(t, d, c, cfg)
+        simulate(t, d, c, SystemConfig(fabric=cfg, lmb=LmbConfig(mode=mode),
+                                       num_lmbs=num_lmbs))
+    finally:
+        PeMachine.step = step
+    assert steps[0] > 0 or t.nnz == 0
 
 
 def test_request_stream_is_deterministic():

@@ -272,6 +272,12 @@ def test_cp_als_rejects_bad_rank():
         cp_als(t, rank=0)
 
 
+def test_cp_als_rejects_negative_iters():
+    t = gen_synthetic(GenSpec((3, 3, 3), 5, seed=0))
+    with pytest.raises(ConfigurationError, match="max_iters"):
+        cp_als(t, rank=2, max_iters=-1)
+
+
 def test_factor_matrix_validation():
     with pytest.raises(ConfigurationError):
         FactorMatrix(2, 2, np.zeros((3, 2), dtype=np.float32))
