@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import config as cfgmod
-from .engine import REFERENCE_SPEEDUP, replay_trace, simulate
+from .engine import REFERENCE_SPEEDUP, replay_trace, report_to_json, simulate
 from .errors import ConfigurationError, DataError, LmbsimError, VerificationError
 from .fabric import FabricConfig, ReqKind, RequestTrace, fabric_mttkrp_kernel
 from .memsys import MODES
@@ -119,7 +119,7 @@ def _emit_report(report, out_format, out_path):
         lines.extend(f"{k},{v}" for k, v in _flatten(report))
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = report_to_json(report) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

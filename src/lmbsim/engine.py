@@ -39,14 +39,19 @@ full bank queue and a lookup-pipe head waiting for a miss slot are left out
 of the wake until what unblocks them happens (a service start on that bank,
 a fill on in_resp), so the two stall counters, hol_block_cycles and
 miss_slot_stall_cycles, are charged per blocked interval: the next step adds
-the cycles slept, then checks once more.  Only an iteration that moved
-nothing asks whether the run is done; if it is not, the engine jumps to the
-earliest wake or other pending event.
+the cycles slept, then checks once more.  The fabric side steps only the
+armed workloads: the indices, in index order, of those whose want_step is
+set.  A workload leaves the list when a step clears want_step and a delivery
+(which sets it) puts it back; index order matters, because machines feed the
+block wires in that order.  Only an iteration that moved nothing asks whether
+the run is done; if it is not, the engine jumps to the earliest wake or other
+pending event.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,7 +177,7 @@ class TracePlayer:
             cycle, kind, lmb, pe, addr, nbytes, tag = self.records[self._pos]
             self._pos += 1
             req = MemoryRequest(ReqKind[kind.upper()], addr, nbytes, pe, tag,
-                                now, None)
+                                None)
             req.lmb = lmb
             self.inflight.add(tag)
             self.issue_count += 1
@@ -223,13 +228,15 @@ class Simulator:
         for wire in self._to_fabric:
             wire.owner = self
         self.wake = INF  # _fabric_step scans the wires from this cycle on
+        # indices of the workloads with want_step set, in index order
+        self._armed = [i for i, w in enumerate(workloads) if w.want_step]
         self._inflight = {}
         self._latencies = {k: [] for k in ReqKind}
         self.total_cycles = 0
         self._now = 0
-        self._sinks = [self._make_sink(w) for w in workloads]
+        self._sinks = [self._make_sink(i) for i in range(len(workloads))]
 
-    def _make_sink(self, workload):
+    def _make_sink(self, w_i):
         def sink(req):
             now = self._now
             if self.route_by_pe:
@@ -238,7 +245,7 @@ class Simulator:
                 raise ConfigurationError(
                     f"request targets block {req.lmb}, only "
                     f"{self.cfg.num_lmbs} configured")
-            self._inflight[req.tag] = (workload, req.kind, now)
+            self._inflight[req.tag] = (w_i, req.kind, now)
             if self.trace is not None:
                 self.trace.add(now, req)
             self.lmbs[req.lmb].accept(req, now)
@@ -247,6 +254,8 @@ class Simulator:
     def _fabric_step(self, now):
         moved = False
         self._now = now
+        workloads = self.workloads
+        armed = self._armed
         if now >= self.wake:
             wake = INF
             for wire in self._to_fabric:
@@ -254,21 +263,31 @@ class Simulator:
                 while item is not None:
                     tag, payload = item
                     try:
-                        workload, kind, issued = self._inflight.pop(tag)
+                        w_i, kind, issued = self._inflight.pop(tag)
                     except KeyError:
                         raise ProtocolError(
                             f"response for unknown tag {tag}") from None
                     self._latencies[kind].append(now - issued)
-                    workload.deliver(tag, payload)
+                    # a delivery sets want_step: re-arm the workload
+                    workloads[w_i].deliver(tag, payload)
+                    if w_i not in armed:
+                        insort(armed, w_i)
                     moved = True
                     item = wire.pop(now)
                 if wire:
                     wake = min(wake, wire.head_ready())
             self.wake = wake
-        for w, sink in zip(self.workloads, self._sinks):
-            # blocked machines re-arm want_step on delivery
-            if w.want_step and w.step(now, sink):
-                moved = True
+        if armed:
+            # in index order: machines feed the block wires in that order
+            sinks = self._sinks
+            still = []
+            for w_i in armed:
+                w = workloads[w_i]
+                if w.step(now, sinks[w_i]):
+                    moved = True
+                if w.want_step:
+                    still.append(w_i)
+            self._armed = still
         return moved
 
     def _done(self):

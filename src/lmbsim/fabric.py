@@ -47,16 +47,15 @@ class ReqKind(enum.IntEnum):
 
 
 class MemoryRequest:
-    __slots__ = ("kind", "addr", "nbytes", "pe", "lmb", "tag", "issue_cycle", "sem")
+    __slots__ = ("kind", "addr", "nbytes", "pe", "lmb", "tag", "sem")
 
-    def __init__(self, kind, addr, nbytes, pe, tag, issue_cycle, sem):
+    def __init__(self, kind, addr, nbytes, pe, tag, sem):
         self.kind = kind
         self.addr = addr
         self.nbytes = nbytes
         self.pe = pe
         self.lmb = 0
         self.tag = tag
-        self.issue_cycle = issue_cycle
         self.sem = sem  # semantic payload key, e.g. ("drow", j)
 
     def __repr__(self):
@@ -101,18 +100,6 @@ class AddressMap:
     @property
     def row_bytes(self):
         return self.rank * VALUE_BYTES
-
-    def element_addr(self, z):
-        return self.tensor_base + z * ELEMENT_BYTES
-
-    def d_row_addr(self, j):
-        return self.d_base + j * self.row_bytes
-
-    def c_row_addr(self, k):
-        return self.c_base + k * self.row_bytes
-
-    def out_row_addr(self, i):
-        return self.out_base + i * self.row_bytes
 
 
 def partition_nonzeros(i_arr, parts):
@@ -313,7 +300,7 @@ class PeMachine:
                 self.pending_flush = None
                 req = MemoryRequest(ReqKind.WRITE,
                                     self._out_base + i * self._row_bytes,
-                                    self._row_bytes, write_pe, tag, now,
+                                    self._row_bytes, write_pe, tag,
                                     ("out", i, row))
                 self.inflight[tag] = ("write", None, port)
             elif fiber_pe is not None and self.row_wait:
@@ -324,7 +311,7 @@ class PeMachine:
                     slot.d_issued = True
                     req = MemoryRequest(ReqKind.ROW_D,
                                         self._d_base + slot.j * self._row_bytes,
-                                        self._row_bytes, fiber_pe, tag, now,
+                                        self._row_bytes, fiber_pe, tag,
                                         ("drow", slot.j))
                     self.inflight[tag] = ("drow", slot, port)
                 else:
@@ -332,7 +319,7 @@ class PeMachine:
                     self.row_wait -= 1
                     req = MemoryRequest(ReqKind.ROW_C,
                                         self._c_base + slot.k * self._row_bytes,
-                                        self._row_bytes, fiber_pe, tag, now,
+                                        self._row_bytes, fiber_pe, tag,
                                         ("crow", slot.k))
                     self.inflight[tag] = ("crow", slot, port)
             elif (elem_pe is not None and self.next_z < self.hi
@@ -343,7 +330,7 @@ class PeMachine:
                 self.slots.append(slot)
                 req = MemoryRequest(ReqKind.ELEM,
                                     self._tensor_base + z * ELEMENT_BYTES,
-                                    ELEMENT_BYTES, elem_pe, tag, now, ("elem", z))
+                                    ELEMENT_BYTES, elem_pe, tag, ("elem", z))
                 self.inflight[tag] = ("elem", slot, port)
             else:
                 continue

@@ -10,21 +10,36 @@ for the DMA engine and the raw port alike; and the port arbiter, one beat per
 cycle toward the router, round-robin over the mode's beat sources.
 
 The mode picks, once, when the block is built, the wire each request kind
-enters on, the request-side step, what a returned line completes, and the
-arbiter's sources:
+enters on, the request-side step, what a returned line completes, the
+arbiter's sources, and the wake wires: the wires that can hold anything in
+that mode, which are all a step that moved nothing reads to find its next
+wake (the DMA backlog and the lookup pipe count only where the mode has
+them):
 
   proposed    element reads: in_cache -> reductor -> lookup pipe, one fetch
               slot per line; a returned line answers every parked request.
               Other kinds: in_dma -> DMA engine.  Arbiter: fetches, DMA.
+              Wake wires: in_resp, in_cache, in_dma, stage 2, fetches, DMA.
   cache-only  everything: in_cache -> splitter -> lookup pipe, one line piece
               per line a request touches, able to enter the pipe in the
               cycle it is cut; one MSHR slot per waiting piece (primary and
               secondary alike), and the pipe stalls when slots run out.
               Arbiter: fetches, writes.
+              Wake wires: in_resp, in_cache, fetches, writes.
   dma-only    everything: in_dma -> DMA engine, elements included, so each
               16-byte element costs a full 64-byte beat.
+              Wake wires: in_resp, in_dma, DMA.
   ip-only     raw port: a wire per PE, one request per PE at a time, whose
               beats issue one by one, each after the previous round trip.
+              The ports are records in a list sorted by PE.  A count of the
+              ports holding a beat to issue gates the round-robin issue
+              scan: taking a request adds one, issuing a beat takes one
+              away, and the answer to a beat that is not its request's last
+              adds one back.  A list of the free ports with a request queued
+              (filled by accept and by a port's last answer) is all the
+              intake looks at.  Each beat carries its port as token.
+              Wake wires: in_resp, the port beats, and the wires of the free
+              ports with a request queued.
 
 Timing contract: every arrow between stages is a 1-cycle timestamped wire.
 Within a cycle an Lmb first applies responses from memory, then advances the
@@ -38,6 +53,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .dram import BEAT_BYTES
 from .errors import ConfigurationError, ProtocolError
@@ -165,6 +181,19 @@ class LmbConfig:
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"unknown memory mode {self.mode!r}, expected one of {MODES}")
+
+
+class _Port:
+    """ip-only: one PE's raw port and the request it is working on."""
+
+    __slots__ = ("pe", "wire", "req", "beats", "waiting")
+
+    def __init__(self, pe, wire):
+        self.pe = pe
+        self.wire = wire      # requests queued behind the current one
+        self.req = None
+        self.beats = None     # beats of req not yet issued
+        self.waiting = False  # a beat of req is out, awaiting its answer
 
 
 class Beat:
@@ -478,25 +507,35 @@ class Lmb:
         self._dma_src = TimedFifo()
         self._wr_src = TimedFifo()
         self._ip_src = TimedFifo()
-        self._ports = {}             # ip-only: pe -> {wire, req, beats, waiting}
-        self._port_pes = []          # the keys of _ports, sorted
+        self._ports = []             # ip-only: _Port records, sorted by pe
+        self._port_of = {}           # pe -> its _Port
+        self._ip_issuable = 0        # ports holding a beat to issue
+        self._ip_takers = []         # free ports with a request queued
         self._ip_rr = 0
         self._emit_dma = self._push_dma_beat
         self._fill_block = -1
         self._arb_rr = 0
         # the wiring: request-side step, wire of element reads, wire of the
-        # other kinds, what a returned line completes, arbiter sources
-        cache, dma = self.in_cache, self.in_dma
+        # other kinds, what a returned line completes, arbiter sources, and
+        # the wires that can hold anything in this mode, which _idle_wake reads
+        cache, dma, resp = self.in_cache, self.in_dma, self.in_resp
         (self._step_requests, self._elem_wire, self._other_wire,
-         self._finish_read, self._sources) = {
+         self._finish_read, self._sources, self._wake_wires) = {
             "proposed": (self._step_proposed, cache, dma,
                          self._finish_elem_line,
-                         (self._cache_src, self._dma_src)),
+                         (self._cache_src, self._dma_src),
+                         (resp, cache, dma, self._stage2, self._cache_src,
+                          self._dma_src)),
             "cache-only": (self._step_cache_only, cache, cache,
-                           self._piece_done, (self._cache_src, self._wr_src)),
-            "dma-only": (self._step_dma, dma, dma, None, (self._dma_src,)),
-            "ip-only": (self._step_ip, None, None, None, (self._ip_src,)),
+                           self._piece_done, (self._cache_src, self._wr_src),
+                           (resp, cache, self._cache_src, self._wr_src)),
+            "dma-only": (self._step_dma, dma, dma, None, (self._dma_src,),
+                         (resp, dma, self._dma_src)),
+            "ip-only": (self._step_ip, None, None, None, (self._ip_src,),
+                        (resp, self._ip_src)),
         }[mode]
+        self._has_dma = mode in ("proposed", "dma-only")
+        self._has_pipe = mode in ("proposed", "cache-only")
         self._wire_of = self._ip_wire if mode == "ip-only" else self._kind_wire
 
     # -- request intake from the fabric ---------------------------------
@@ -509,12 +548,13 @@ class Lmb:
         return self._elem_wire if req.kind == ReqKind.ELEM else self._other_wire
 
     def _ip_wire(self, req):
-        port = self._ports.get(req.pe)
+        port = self._port_of.get(req.pe)
         if port is None:
-            port = self._ports[req.pe] = {"wire": TimedFifo(self), "req": None,
-                                          "beats": None, "waiting": False}
-            insort(self._port_pes, req.pe)
-        return port["wire"]
+            port = self._port_of[req.pe] = _Port(req.pe, TimedFifo(self))
+            insort(self._ports, port, key=attrgetter("pe"))
+        if port.req is None and not port.wire:
+            self._ip_takers.append(port)
+        return port.wire
 
     # -- responses to the fabric -----------------------------------------
 
@@ -571,12 +611,15 @@ class Lmb:
             del self._parents[parent_id]
             self._respond(parent["req"], now)
 
-    def _ip_beat_done(self, pe, now):
-        port = self._ports[pe]
-        port["waiting"] = False
-        if not port["beats"]:
-            self._respond(port["req"], now)
-            port["req"] = None
+    def _ip_beat_done(self, port, now):
+        port.waiting = False
+        if port.beats:
+            self._ip_issuable += 1
+        else:
+            self._respond(port.req, now)
+            port.req = None
+            if port.wire:
+                self._ip_takers.append(port)
 
     # -- request side --------------------------------------------------------
 
@@ -696,29 +739,38 @@ class Lmb:
 
     def _step_ip(self, now):
         moved = False
-        for port in self._ports.values():
-            if port["req"] is None and port["wire"]:
-                req = port["wire"].pop(now)
-                if req is not None:
-                    port["req"] = req
-                    port["beats"] = deque(split_beats(req.addr, req.nbytes))
+        if self._ip_takers:
+            not_ready = []
+            for port in self._ip_takers:
+                req = port.wire.pop(now)
+                if req is None:
+                    not_ready.append(port)
+                else:
+                    port.req = req
+                    port.beats = deque(split_beats(req.addr, req.nbytes))
+                    self._ip_issuable += 1
                     moved = True
-        # issue at most one beat per cycle across PEs, round-robin; a port
-        # not waiting on a beat has one left (its last answer frees it)
-        pes = self._port_pes
-        for off in range(len(pes)):
-            pe = pes[(self._ip_rr + off) % len(pes)]
-            port = self._ports[pe]
-            if port["req"] is not None and not port["waiting"]:
-                rw = "w" if port["req"].kind == ReqKind.WRITE else "r"
-                beat_addr, useful = port["beats"].popleft()
-                port["waiting"] = True
-                self._ip_rr = (self._ip_rr + off + 1) % len(pes)
-                self._ip_src.push(now + 1, Beat(self.lmb_id, "ip", pe, rw,
+            self._ip_takers = not_ready
+        if not self._ip_issuable:
+            return moved
+        # issue one beat per cycle across PEs, round-robin; a port holding
+        # a request and not waiting on a beat has one left (its last answer
+        # frees it).  The beat carries its port back as token.
+        ports = self._ports
+        n = len(ports)
+        for off in range(n):
+            idx = (self._ip_rr + off) % n
+            port = ports[idx]
+            if port.req is not None and not port.waiting:
+                rw = "w" if port.req.kind == ReqKind.WRITE else "r"
+                beat_addr, useful = port.beats.popleft()
+                port.waiting = True
+                self._ip_issuable -= 1
+                self._ip_rr = (idx + 1) % n
+                self._ip_src.push(now + 1, Beat(self.lmb_id, "ip", port, rw,
                                                 beat_addr, useful))
-                moved = True
-                break
-        return moved
+                return True
+        raise ProtocolError("ip-only issuable count found no port to issue")
 
     # -- main step ---------------------------------------------------------
 
@@ -759,25 +811,30 @@ class Lmb:
     def _idle_wake(self, now):
         """First cycle at which a step that moved nothing can act again.
 
-        Whatever was ready and is not listed here is blocked, and only an
-        input push unblocks it: a pipe head waiting for a miss slot and the
-        intake behind a full pipe wait for a fill on in_resp, and a busy ip
-        port's queued requests wait for its response.  A DMA backlog and a
-        stalled reductor stage 2 count their stall cycles one step at a time.
+        Only the mode's wake wires are read, and the DMA backlog and the
+        lookup pipe only in the modes that have them.  Whatever was ready and
+        is not listed here is blocked, and only an input push unblocks it: a
+        pipe head waiting for a miss slot and the intake behind a full pipe
+        wait for a fill on in_resp, and a busy ip port's queued requests wait
+        for its response.  Of the ip ports only the free ones with a request
+        queued count.  A DMA backlog and a stalled reductor stage 2 count
+        their stall cycles one step at a time.
         """
-        if self.dma.backlog():
+        if self._has_dma and self.dma.backlog():
             return now + 1
-        wake = min(self.in_resp.head_ready(), self.in_cache.head_ready(),
-                   self.in_dma.head_ready(), self._stage2.head_ready(),
-                   self._cache_src.head_ready(), self._dma_src.head_ready(),
-                   self._wr_src.head_ready(), self._ip_src.head_ready())
-        if self._stall_at is None:
-            wake = min(wake, self.pipe.next_due())
-        if self.pipe.can_accept():
-            wake = min(wake, self._intake.head_ready())
-        for port in self._ports.values():
-            if port["req"] is None:
-                wake = min(wake, port["wire"].head_ready())
+        wake = INF
+        for wire in self._wake_wires:
+            if wire:
+                ready = wire[0][0]
+                if ready < wake:
+                    wake = ready
+        if self._has_pipe:
+            if self._stall_at is None:
+                wake = min(wake, self.pipe.next_due())
+            if self.pipe.can_accept():
+                wake = min(wake, self._intake.head_ready())
+        for port in self._ip_takers:
+            wake = min(wake, port.wire.head_ready())
         return max(wake, now + 1)
 
     def next_event(self, now):
@@ -793,6 +850,6 @@ class Lmb:
                 and not self._parents and not self.fetch_slots.lines
                 and not self.dma.descs and not self.dma.pending
                 and not self.dma.backlog()
-                and all(port["req"] is None and not port["wire"]
-                        for port in self._ports.values())
+                and all(port.req is None and not port.wire
+                        for port in self._ports)
                 and self.rrsh.pending == 0)

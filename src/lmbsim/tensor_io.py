@@ -35,40 +35,49 @@ HEADER_BYTES = _HEADER.size  # 32
 RECORD_DTYPE = np.dtype([("i", "<u4"), ("j", "<u4"), ("k", "<u4"), ("val", "<f4")])
 
 
+def _text_lines(path):
+    """(line number, stripped line) for each line; bad bytes are a DataError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                yield lineno, raw.strip()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: neither a binary tensor nor UTF-8 text "
+                            f"({exc.reason})") from None
+
+
 def load_text(path) -> CooTensor:
     ii, jj, kk, vv = [], [], [], []
     dims = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                fields = line[1:].split()
-                if fields[:1] == ["dims"]:
-                    if len(fields) != 4:
-                        raise DataError(f"line {lineno}: dims header needs 3 extents")
-                    try:
-                        dims = tuple(int(x) for x in fields[1:])
-                    except ValueError:
-                        raise DataError(f"line {lineno}: non-integer extent") from None
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise DataError(f"line {lineno}: expected 'i j k value', "
-                                f"got {len(parts)} fields")
-            try:
-                i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-                val = float(parts[3])
-            except ValueError:
-                raise DataError(f"line {lineno}: could not parse coordinates") from None
-            if min(i, j, k) < 1:
-                raise DataError(f"line {lineno}: coordinates are 1-indexed, "
-                                f"got ({i}, {j}, {k})")
-            ii.append(i - 1)
-            jj.append(j - 1)
-            kk.append(k - 1)
-            vv.append(val)
+    for lineno, line in _text_lines(path):
+        if not line:
+            continue
+        if line.startswith("#"):
+            fields = line[1:].split()
+            if fields[:1] == ["dims"]:
+                if len(fields) != 4:
+                    raise DataError(f"line {lineno}: dims header needs 3 extents")
+                try:
+                    dims = tuple(int(x) for x in fields[1:])
+                except ValueError:
+                    raise DataError(f"line {lineno}: non-integer extent") from None
+            continue
+        parts = line.split()
+        if len(parts) != 4:
+            raise DataError(f"line {lineno}: expected 'i j k value', "
+                            f"got {len(parts)} fields")
+        try:
+            i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
+            val = float(parts[3])
+        except ValueError:
+            raise DataError(f"line {lineno}: could not parse coordinates") from None
+        if min(i, j, k) < 1:
+            raise DataError(f"line {lineno}: coordinates are 1-indexed, "
+                            f"got ({i}, {j}, {k})")
+        ii.append(i - 1)
+        jj.append(j - 1)
+        kk.append(k - 1)
+        vv.append(val)
     i_arr = np.asarray(ii, dtype=np.uint32)
     j_arr = np.asarray(jj, dtype=np.uint32)
     k_arr = np.asarray(kk, dtype=np.uint32)

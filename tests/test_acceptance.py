@@ -244,7 +244,7 @@ def test_criterion_5_component_equivalence():
     from lmbsim.memsys import DmaConfig, DmaEngine
     for nbytes in range(4, 257):
         dma = DmaEngine(DmaConfig(), {})
-        dma.enqueue(MemoryRequest(ReqKind.ROW_D, 0, nbytes, 0, 0, 0, None))
+        dma.enqueue(MemoryRequest(ReqKind.ROW_D, 0, nbytes, 0, 0, None))
         dma.step_grant(0)
         issued = 0
         while dma.step_beats(0, lambda *a: None):

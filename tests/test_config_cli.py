@@ -234,6 +234,14 @@ def test_cli_exit_codes(tmp_path, capsys):
             err = capsys.readouterr().err
             assert f"cannot read tensor file {path}" in err
             assert "Traceback" not in err
+    # bytes that are neither the binary magic nor UTF-8 text
+    garbage = tmp_path / "garbage.tns"
+    garbage.write_bytes(b"\xff\xfe\x00garbage\n")
+    for command in ("run", "sweep", "cpd"):
+        assert main([command, "--tensor", str(garbage)]) == 2
+        err = capsys.readouterr().err
+        assert "neither a binary tensor nor UTF-8 text" in err
+        assert "Traceback" not in err
     assert main(["cpd", "--iters", "-1"]) == 2
     err = capsys.readouterr().err
     assert "max_iters" in err and "Traceback" not in err

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lmbsim.dram import DramConfig
 from lmbsim.engine import (NullImage, Router, Simulator, SystemConfig,
@@ -9,7 +10,7 @@ from lmbsim.engine import (NullImage, Router, Simulator, SystemConfig,
                            report_to_json, simulate, verify_output)
 from lmbsim.errors import ConfigurationError, DeadlockError, VerificationError
 from lmbsim.fabric import FabricConfig, RequestTrace, run_functional
-from lmbsim.memsys import LmbConfig
+from lmbsim.memsys import Lmb, LmbConfig
 from lmbsim.queues import INF, TimedFifo
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, gen_synthetic,
                            mttkrp_oracle)
@@ -310,6 +311,83 @@ def test_write_ack_reaches_the_fabric_in_the_cycle_it_is_pushed():
     assert wake_before > ack_cycle   # the fabric side was asleep
     assert delivered == [ack_cycle]  # and the push woke it in the same cycle
     assert sim.report()["requests"]["write"]["max"] == ack_cycle
+
+
+def _small_run(mode, dims, nnz, seed, fabric_type, pe_count, max_outstanding,
+               rank, num_lmbs):
+    t = gen_synthetic(GenSpec(dims=dims, nnz=min(nnz, dims[0] * dims[1] * dims[2]),
+                              seed=seed))
+    d = FactorMatrix.random(dims[1], rank, seed=seed + 1)
+    c = FactorMatrix.random(dims[2], rank, seed=seed + 2)
+    cfg = SystemConfig(
+        fabric=FabricConfig(fabric_type=fabric_type, pe_count=pe_count,
+                            max_outstanding=max_outstanding, rank=rank),
+        lmb=LmbConfig(mode=mode), num_lmbs=num_lmbs,
+        dram=DramConfig(num_banks=2, queue_depth=1))
+    simulate(t, d, c, cfg, verify=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.tuples(*(st.integers(min_value=1, max_value=8),) * 3),
+       nnz=st.integers(min_value=0, max_value=60),
+       seed=st.integers(min_value=0, max_value=1000),
+       fabric_type=st.sampled_from(["type1", "type2"]),
+       pe_count=st.integers(min_value=1, max_value=8),
+       max_outstanding=st.integers(min_value=1, max_value=4),
+       rank=st.sampled_from([2, 8, 32]),
+       num_lmbs=st.integers(min_value=1, max_value=4))
+def test_ip_port_counts_equal_a_recount(**case):
+    steps = [0]
+    step = Lmb.step
+
+    def checked_step(lmb, now):
+        moved = step(lmb, now)
+        steps[0] += 1
+        assert lmb._ip_issuable == sum(1 for p in lmb._ports
+                                       if p.req is not None and not p.waiting)
+        assert [p.pe for p in lmb._ports] == sorted(lmb._port_of)
+        assert sorted(p.pe for p in lmb._ip_takers) == \
+            [p.pe for p in lmb._ports if p.req is None and p.wire]
+        return moved
+
+    Lmb.step = checked_step
+    try:
+        _small_run("ip-only", **case)
+    finally:
+        Lmb.step = step
+    assert steps[0] > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(MODES),
+       dims=st.tuples(st.integers(min_value=4, max_value=10),
+                      st.integers(min_value=2, max_value=10),
+                      st.integers(min_value=2, max_value=10)),
+       nnz=st.integers(min_value=20, max_value=120),
+       seed=st.integers(min_value=0, max_value=1000),
+       pe_count=st.integers(min_value=2, max_value=8),
+       max_outstanding=st.sampled_from([4, 16]),
+       rank=st.sampled_from([2, 8, 32]),
+       num_lmbs=st.integers(min_value=1, max_value=4))
+def test_armed_list_is_the_workloads_with_want_step(mode, **case):
+    # several type2 machines with room to run ahead, so that deliveries
+    # re-arm a machine below one that is still armed
+    steps = [0]
+    fabric_step = Simulator._fabric_step
+
+    def checked_fabric_step(sim, now):
+        moved = fabric_step(sim, now)
+        steps[0] += 1
+        assert sim._armed == [i for i, w in enumerate(sim.workloads)
+                              if w.want_step]
+        return moved
+
+    Simulator._fabric_step = checked_fabric_step
+    try:
+        _small_run(mode, fabric_type="type2", **case)
+    finally:
+        Simulator._fabric_step = fabric_step
+    assert steps[0] > 0
 
 
 # --- giving up ------------------------------------------------------------------

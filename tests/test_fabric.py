@@ -12,8 +12,8 @@ from lmbsim.fabric import (AddressMap, FabricConfig, MemoryImage, PeMachine,
                            RequestTrace, build_machines, fabric_mttkrp_kernel,
                            partition_nonzeros, run_functional)
 from lmbsim.memsys import MODES, LmbConfig
-from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, cp_als,
-                           gen_synthetic, mttkrp_oracle)
+from lmbsim.tensor import (ELEMENT_BYTES, CooTensor, FactorMatrix, GenSpec,
+                           cp_als, gen_synthetic, mttkrp_oracle)
 
 
 # --- row partitioning ---------------------------------------------------------
@@ -62,6 +62,25 @@ def test_partition_covers_range_without_straddling(rows, parts):
 
 # --- address layout -----------------------------------------------------------
 
+# The layout's reference: where element z, D row j, C row k and output row i
+# live.  The PE machines compute the same addresses from the segment bases.
+
+def element_addr(amap, z):
+    return amap.tensor_base + z * ELEMENT_BYTES
+
+
+def d_row_addr(amap, j):
+    return amap.d_base + j * amap.row_bytes
+
+
+def c_row_addr(amap, k):
+    return amap.c_base + k * amap.row_bytes
+
+
+def out_row_addr(amap, i):
+    return amap.out_base + i * amap.row_bytes
+
+
 def test_address_map_layout():
     amap = AddressMap.build(nnz=10, dims=(4, 5, 6), rank=8)
     # elements: 10 * 16 = 160 bytes, next segment aligns up to 64
@@ -70,10 +89,10 @@ def test_address_map_layout():
     assert amap.c_base == 384   # 192 + 5 rows * 32 B, aligned
     assert amap.out_base == 576
     assert amap.end == 704
-    assert amap.element_addr(3) == 48
-    assert amap.d_row_addr(2) == 192 + 64
-    assert amap.c_row_addr(0) == 384
-    assert amap.out_row_addr(1) == 576 + 32
+    assert element_addr(amap, 3) == 48
+    assert d_row_addr(amap, 2) == 192 + 64
+    assert c_row_addr(amap, 0) == 384
+    assert out_row_addr(amap, 1) == 576 + 32
     for base in (amap.d_base, amap.c_base, amap.out_base, amap.end):
         assert base % 64 == 0
 
@@ -263,12 +282,17 @@ def test_request_counts_follow_the_algorithm(fabric_type):
     for _, kind, _, pe, addr, nbytes, _ in tr.records:
         by_kind.setdefault(kind, []).append((pe, addr, nbytes))
 
-    # every element address fetched exactly once, one D and one C row per element
+    # every element address fetched exactly once, one D and one C row per
+    # element, each at the layout's address
     amap = AddressMap.build(t.nnz, t.dims, rank)
     assert sorted(a for _, a, _ in by_kind["elem"]) == \
-        [amap.element_addr(z) for z in range(t.nnz)]
-    assert len(by_kind["row_d"]) == t.nnz
-    assert len(by_kind["row_c"]) == t.nnz
+        [element_addr(amap, z) for z in range(t.nnz)]
+    assert sorted(a for _, a, _ in by_kind["row_d"]) == \
+        sorted(d_row_addr(amap, int(j)) for j in t.j)
+    assert sorted(a for _, a, _ in by_kind["row_c"]) == \
+        sorted(c_row_addr(amap, int(k)) for k in t.k)
+    assert sorted(a for _, a, _ in by_kind["write"]) == \
+        [out_row_addr(amap, int(i)) for i in np.unique(t.i)]
 
     # one flush per distinct output row, and rows never shared between PEs
     writes = by_kind["write"]

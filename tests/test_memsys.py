@@ -183,7 +183,7 @@ def test_fetch_slots_per_request_costs_each():
 # --- DMA engine ---------------------------------------------------------------
 
 def make_req(kind, addr, nbytes, pe=0, tag=0):
-    return MemoryRequest(kind, addr, nbytes, pe, tag, 0, ("drow", 0))
+    return MemoryRequest(kind, addr, nbytes, pe, tag, ("drow", 0))
 
 
 def drain_beats(dma, limit=100):
