@@ -240,6 +240,13 @@ def _as_int(settings, sec, key):
         raise ConfigurationError(f"{sec}.{key} must be an integer, got {raw!r}") from None
 
 
+def _as_seed(settings, sec, key):
+    seed = _as_int(settings, sec, key)
+    if seed < 0:
+        raise ConfigurationError(f"{sec}.{key} must be non-negative, got {seed}")
+    return seed
+
+
 def _as_bool(settings, sec, key):
     raw = settings[sec][key].strip().lower()
     if raw in ("1", "true", "yes", "on"):
@@ -324,7 +331,7 @@ def build(settings) -> BuiltConfig:
     if len(dims) != 3:
         raise ConfigurationError(f"tensor.dims needs three extents, got {dims}")
     gen = GenSpec(dims=dims, nnz=_as_int(settings, "tensor", "nnz"),
-                  seed=_as_int(settings, "tensor", "seed"),
+                  seed=_as_seed(settings, "tensor", "seed"),
                   distribution=settings["tensor"]["distribution"].strip())
     out_format = settings["output"]["format"].strip().lower()
     if out_format not in ("json", "csv"):
@@ -333,7 +340,7 @@ def build(settings) -> BuiltConfig:
         system=system,
         mode=mode,
         verify=_as_bool(settings, "run", "verify"),
-        seed=_as_int(settings, "run", "seed"),
+        seed=_as_seed(settings, "run", "seed"),
         tensor_file=settings["tensor"]["file"].strip(),
         gen=gen,
         sweep_ranks=_as_int_list(settings, "sweep", "ranks"),

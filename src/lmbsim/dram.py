@@ -134,10 +134,8 @@ class Dram:
         depth = self.queue_depth
         if self._hol is not None:
             stats["hol_block_cycles"] += now - self._hol_at - 1
-        while True:
-            beat = ingress.peek(now)
-            if beat is None:
-                break
+        while ingress and ingress[0][0] <= now:
+            beat = ingress[0][1]
             loc = self._hol or self._locate(beat.addr)
             bank = banks[loc[0]]
             if len(bank.queue) >= depth:
@@ -146,7 +144,7 @@ class Dram:
                 self._hol_at = now
                 break
             self._hol = None
-            ingress.pop(now)
+            ingress.popleft()
             if not bank.queue and bank.current is None and bank.done is None:
                 starts.append(loc[0])
             bank.queue.append((beat, loc[1], now))
@@ -180,7 +178,7 @@ class Dram:
             wake = busy[0][0] if busy else INF
             if ingress and (self._hol is None
                             or len(banks[self._hol[0]].queue) < depth):
-                wake = min(wake, max(ingress.head_ready(), now + 1))
+                wake = min(wake, max(ingress[0][0], now + 1))
             self.wake = wake
         return moved
 

@@ -109,28 +109,24 @@ class Router:
         n = len(lmbs)
         for off in range(n):
             wire = lmbs[(self._rr + off) % n].to_router
-            if wire:
-                beat = wire.pop(now)
-                if beat is not None:
-                    self._rr = (self._rr + off + 1) % n
-                    self.dram.ingress.push(now + 1, beat)
-                    self.stats["forwarded"] += 1
-                    moved = True
-                    break
-        back = self.dram.to_router
-        if back:
-            beat = back.pop(now)
-            while beat is not None:
-                lmbs[beat.lmb].in_resp.push(now + 1, (beat.origin, beat.token))
-                self.stats["returned"] += 1
+            if wire and wire[0][0] <= now:
+                self._rr = (self._rr + off + 1) % n
+                self.dram.ingress.push(now + 1, wire.popleft()[1])
+                self.stats["forwarded"] += 1
                 moved = True
-                beat = back.pop(now)
+                break
+        back = self.dram.to_router
+        while back and back[0][0] <= now:
+            beat = back.popleft()[1]
+            lmbs[beat.lmb].in_resp.push(now + 1, (beat.origin, beat.token))
+            self.stats["returned"] += 1
+            moved = True
         # the earliest input head, or the next cycle when one is already
         # ready (a block not picked this cycle)
         wake = INF
         for wire in self._inputs:
             if wire:
-                ready = wire.head_ready()
+                ready = wire[0][0]
                 if ready < wake:
                     wake = ready
         self.wake = wake if wake > now else now + 1
@@ -259,9 +255,8 @@ class Simulator:
         if now >= self.wake:
             wake = INF
             for wire in self._to_fabric:
-                item = wire.pop(now)
-                while item is not None:
-                    tag, payload = item
+                while wire and wire[0][0] <= now:
+                    tag, payload = wire.popleft()[1]
                     try:
                         w_i, kind, issued = self._inflight.pop(tag)
                     except KeyError:
@@ -273,9 +268,8 @@ class Simulator:
                     if w_i not in armed:
                         insort(armed, w_i)
                     moved = True
-                    item = wire.pop(now)
                 if wire:
-                    wake = min(wake, wire.head_ready())
+                    wake = min(wake, wire[0][0])
             self.wake = wake
         if armed:
             # in index order: machines feed the block wires in that order

@@ -2,12 +2,13 @@
 
 The shared parts: a two-stage request reductor for element reads (TempBuffer
 probe of recent lines, then the RrshTable that parks a request on a line in
-flight); the cache lookup pipe (CachePipe over the tag-only CacheArray, whose
-misses take _FetchSlots and whose write pieces go out write-through,
-no-allocate); the DmaEngine (per-PE descriptor queues, round-robin beat
-issue, staging credits); split_beats, which cuts a request into 64-byte beats
-for the DMA engine and the raw port alike; and the port arbiter, one beat per
-cycle toward the router, round-robin over the mode's beat sources.
+flight); the cache lookup pipe (a fixed-depth in-order deque in the block, one
+intake and one outcome per cycle, over the tag-only CacheArray, whose misses
+take _FetchSlots and whose write pieces go out write-through, no-allocate);
+the DmaEngine (per-PE descriptor queues, round-robin beat issue, staging
+credits); split_beats, which cuts a request into 64-byte beats for the DMA
+engine and the raw port alike; and the port arbiter, one beat per cycle
+toward the router, round-robin over the mode's beat sources.
 
 The mode picks, once, when the block is built, the wire each request kind
 enters on, the request-side step, what a returned line completes, the
@@ -21,10 +22,14 @@ them):
               Other kinds: in_dma -> DMA engine.  Arbiter: fetches, DMA.
               Wake wires: in_resp, in_cache, in_dma, stage 2, fetches, DMA.
   cache-only  everything: in_cache -> splitter -> lookup pipe, one line piece
-              per line a request touches, able to enter the pipe in the
-              cycle it is cut; one MSHR slot per waiting piece (primary and
-              secondary alike), and the pipe stalls when slots run out.
-              Arbiter: fetches, writes.
+              per line a request touches, each carrying the request's
+              [request, pieces left] record, whose last piece answers.  The
+              first piece enters the pipe where it is cut, with no trip
+              through the intake, when the intake is empty, the pipe has
+              room and no fill blocks the intake: that is the cycle's one
+              intake.  Otherwise it queues on the intake like the rest.  One
+              MSHR slot per waiting piece (primary and secondary alike), and
+              the pipe stalls when slots run out.  Arbiter: fetches, writes.
               Wake wires: in_resp, in_cache, fetches, writes.
   dma-only    everything: in_dma -> DMA engine, elements included, so each
               16-byte element costs a full 64-byte beat.
@@ -96,8 +101,9 @@ class CacheConfig:
             raise ConfigurationError(
                 f"{self.num_lines} lines not divisible into {self.assoc} ways")
         sets = self.num_lines // self.assoc
-        if sets & (sets - 1):
-            raise ConfigurationError(f"set count {sets} is not a power of two")
+        if sets < 1 or sets & (sets - 1):
+            raise ConfigurationError(
+                f"set count {sets} is not a positive power of two")
         if self.pipeline_depth < 1:
             raise ConfigurationError("pipeline depth must be at least 1")
         if self.miss_slots < 1:
@@ -119,8 +125,9 @@ class RrshConfig:
             raise ConfigurationError(
                 f"{self.entries} entries not divisible into {self.ways} ways")
         buckets = self.entries // self.ways
-        if buckets & (buckets - 1):
-            raise ConfigurationError(f"bucket count {buckets} is not a power of two")
+        if buckets < 1 or buckets & (buckets - 1):
+            raise ConfigurationError(
+                f"bucket count {buckets} is not a positive power of two")
         if self.pending_cap < 1:
             raise ConfigurationError("pending cap must be positive")
 
@@ -218,10 +225,6 @@ def _line_of(addr):
     return addr // BEAT_BYTES
 
 
-def _lines_of(addr, nbytes):
-    return range(_line_of(addr), _line_of(addr + nbytes - 1) + 1)
-
-
 def split_beats(addr, nbytes):
     """(beat address, useful bytes) for each 64-byte beat a request covers."""
     end = addr + nbytes
@@ -289,18 +292,19 @@ class RrshTable:
 
 
 class CacheArray:
-    """Tag-only LRU array; payload content always comes from the image."""
+    """Tag-only LRU array; payload content always comes from the image.
+
+    The block's lookup pipe reads `sets` directly, as `lookup` does.
+    """
 
     def __init__(self, cfg: CacheConfig):
         self.cfg = cfg
+        self.num_sets = cfg.num_sets
         self.sets = [[] for _ in range(cfg.num_sets)]  # MRU last
-
-    def _set_of(self, line):
-        return self.sets[line % self.cfg.num_sets]
 
     def lookup(self, line):
         """True on a hit, which makes the line most recently used."""
-        s = self._set_of(line)
+        s = self.sets[line % self.num_sets]
         if line in s:
             s.remove(line)
             s.append(line)
@@ -309,12 +313,12 @@ class CacheArray:
 
     def insert(self, line):
         """Fill a line (a hit only refreshes it); returns the evicted line."""
-        if self.lookup(line):
+        s = self.sets[line % self.num_sets]
+        if line in s:
+            s.remove(line)
+            s.append(line)
             return None
-        s = self._set_of(line)
-        victim = None
-        if len(s) >= self.cfg.assoc:
-            victim = s.pop(0)
+        victim = s.pop(0) if len(s) >= self.cfg.assoc else None
         s.append(line)
         return victim
 
@@ -348,31 +352,6 @@ class _FetchSlots:
         waiters = self.lines.pop(line)
         self.used -= len(waiters) if self.per_request else 1
         return waiters
-
-
-class CachePipe:
-    """Fixed-depth in-order lookup pipeline, one intake and one outcome per cycle."""
-
-    def __init__(self, depth):
-        self.depth = depth
-        self.entries = deque()  # (due, item)
-
-    def can_accept(self):
-        return len(self.entries) < self.depth
-
-    def accept(self, item, now):
-        self.entries.append((now + self.depth - 1, item))
-
-    def head_due(self, now):
-        if self.entries and self.entries[0][0] <= now:
-            return self.entries[0][1]
-        return None
-
-    def pop_head(self):
-        return self.entries.popleft()[1]
-
-    def next_due(self):
-        return self.entries[0][0] if self.entries else INF
 
 
 class DmaEngine:
@@ -476,6 +455,7 @@ class Lmb:
         self.wake = INF       # step is a no-op before this cycle
         self._now = 0         # cycle of the step in progress
         self._stall_at = None  # last cycle the pipe head found no miss slot
+        self._head_waits = False  # and no fill has freed a slot since
         # wires toward this block; a push onto an empty one lowers wake
         self.in_cache = TimedFifo(self)  # into the reductor or the splitter
         self.in_dma = TimedFifo(self)
@@ -492,21 +472,27 @@ class Lmb:
             "write_beats": 0, "responses": 0,
         }
         self.cache = CacheArray(cfg.cache)
-        self.pipe = CachePipe(cfg.cache.pipeline_depth)
+        self._sets = self.cache.sets
+        self._num_sets = self.cache.num_sets
+        # lookup pipe: in-order (due, (kind, waiter, line)); an access
+        # entering at cycle t is due at t + pipeline_depth - 1
+        self._pipe = deque()
+        self._depth = cfg.cache.pipeline_depth
         per_req = mode == "cache-only"
         cap = cfg.mshr.entries if per_req else cfg.cache.miss_slots
         self.fetch_slots = _FetchSlots(cap, per_req)
         self.tempbuf = TempBuffer(cfg.tempbuf)
         self.rrsh = RrshTable(cfg.rrsh)
         self.dma = DmaEngine(cfg.dma, self.stats)
-        self._stage2 = TimedFifo()   # reductor stage 1 -> stage 2
-        self._intake = TimedFifo()   # stage 2 / splitter -> lookup pipe
-        self._parents = {}           # cache-only: req id -> piece bookkeeping
-        self._next_parent = 0
-        self._cache_src = TimedFifo()  # fetch beats toward the arbiter
-        self._dma_src = TimedFifo()
-        self._wr_src = TimedFifo()
-        self._ip_src = TimedFifo()
+        # stage wires inside the block: plain deques of (ready, item),
+        # appended and read in place (see queues.py)
+        self._stage2 = deque()     # reductor stage 1 -> stage 2
+        self._intake = deque()     # stage 2 / splitter -> lookup pipe
+        self._cache_src = deque()  # fetch beats toward the arbiter
+        self._dma_src = deque()
+        self._wr_src = deque()
+        self._ip_src = deque()
+        self._open_splits = 0        # cache-only: split requests not answered
         self._ports = []             # ip-only: _Port records, sorted by pe
         self._port_of = {}           # pe -> its _Port
         self._ip_issuable = 0        # ports holding a beat to issue
@@ -515,37 +501,42 @@ class Lmb:
         self._emit_dma = self._push_dma_beat
         self._fill_block = -1
         self._arb_rr = 0
-        # the wiring: request-side step, wire of element reads, wire of the
-        # other kinds, what a returned line completes, arbiter sources, and
-        # the wires that can hold anything in this mode, which _idle_wake reads
+        # the wiring: request-side step, what a returned line completes,
+        # arbiter sources, and the wires that can hold anything in this
+        # mode, which _idle_wake reads
         cache, dma, resp = self.in_cache, self.in_dma, self.in_resp
-        (self._step_requests, self._elem_wire, self._other_wire,
-         self._finish_read, self._sources, self._wake_wires) = {
-            "proposed": (self._step_proposed, cache, dma,
-                         self._finish_elem_line,
+        (self._step_requests, self._finish_read, self._sources,
+         self._wake_wires) = {
+            "proposed": (self._step_proposed, self._finish_elem_line,
                          (self._cache_src, self._dma_src),
                          (resp, cache, dma, self._stage2, self._cache_src,
                           self._dma_src)),
-            "cache-only": (self._step_cache_only, cache, cache,
-                           self._piece_done, (self._cache_src, self._wr_src),
+            "cache-only": (self._step_cache_only, self._piece_done,
+                           (self._cache_src, self._wr_src),
                            (resp, cache, self._cache_src, self._wr_src)),
-            "dma-only": (self._step_dma, dma, dma, None, (self._dma_src,),
+            "dma-only": (self._step_dma, None, (self._dma_src,),
                          (resp, dma, self._dma_src)),
-            "ip-only": (self._step_ip, None, None, None, (self._ip_src,),
+            "ip-only": (self._step_ip, None, (self._ip_src,),
                         (resp, self._ip_src)),
         }[mode]
         self._has_dma = mode in ("proposed", "dma-only")
         self._has_pipe = mode in ("proposed", "cache-only")
+        # the wire every request enters on, where one wire takes them all
+        self._only_wire = {"cache-only": cache, "dma-only": dma}.get(mode)
         self._wire_of = self._ip_wire if mode == "ip-only" else self._kind_wire
 
     # -- request intake from the fabric ---------------------------------
 
     def accept(self, req, now):
         self.stats["requests"] += 1
-        self._wire_of(req).push(now + 1, req)
+        wire = self._only_wire
+        if wire is None:
+            wire = self._wire_of(req)
+        wire.push(now + 1, req)
 
     def _kind_wire(self, req):
-        return self._elem_wire if req.kind == ReqKind.ELEM else self._other_wire
+        """proposed: element reads to the reductor, the rest to the DMA."""
+        return self.in_cache if req.kind == ReqKind.ELEM else self.in_dma
 
     def _ip_wire(self, req):
         port = self._port_of.get(req.pe)
@@ -576,10 +567,10 @@ class Lmb:
         origin, token = beat_info
         if origin == "cache":
             line = token
-            victim = self.cache.insert(line)
-            if victim is not None:
+            if self.cache.insert(line) is not None:
                 self.stats["evictions"] += 1
             self._fill_block = now
+            self._head_waits = False
             self.stats["fill_block_cycles"] += 1
             for waiter in self.fetch_slots.complete(line):
                 self._finish_read(waiter, now, line)
@@ -600,16 +591,16 @@ class Lmb:
             self._respond(waiter, now)
         self.tempbuf.deposit(line)
 
-    def _piece_done(self, parent_id, now, line=None):
+    def _piece_done(self, split, now, line=None):
         """One piece of a split request is done; the last one answers.
 
-        A returned line passes its line number, which a piece does not need.
+        `split` is the request's [request, pieces left] record.  A returned
+        line passes its line number, which a piece does not need.
         """
-        parent = self._parents[parent_id]
-        parent["left"] -= 1
-        if parent["left"] == 0:
-            del self._parents[parent_id]
-            self._respond(parent["req"], now)
+        split[1] -= 1
+        if not split[1]:
+            self._open_splits -= 1
+            self._respond(split[0], now)
 
     def _ip_beat_done(self, port, now):
         port.waiting = False
@@ -626,113 +617,137 @@ class Lmb:
     def _step_proposed(self, now):
         moved = False
         # reductor stage 1: TempBuffer probe, one request per cycle
-        req = self.in_cache.pop(now) if self.in_cache else None
-        if req is not None:
+        wire = self.in_cache
+        if wire and wire[0][0] <= now:
+            req = wire.popleft()[1]
             line = _line_of(req.addr)
             if self.tempbuf.probe(line):
                 self.stats["tempbuf_hits"] += 1
                 self._respond(req, now)
             else:
-                self._stage2.push(now + 1, (req, line))
+                self._stage2.append((now + 1, (req, line)))
             moved = True
         # reductor stage 2: coalescing table, one request per cycle
-        head = self._stage2.peek(now) if self._stage2 else None
-        if head is not None:
-            req, line = head
+        stage2 = self._stage2
+        if stage2 and stage2[0][0] <= now:
+            req, line = stage2[0][1]
             entry = self.rrsh.lookup(line)
             if entry is not None:
                 if self.rrsh.can_take_waiter():
-                    self._stage2.pop(now)
+                    stage2.popleft()
                     self.rrsh.add_waiter(line, req)
                     self.stats["coalesced"] += 1
                     moved = True
                 else:
                     self.stats["rrsh_stall_cycles"] += 1
             elif self.rrsh.can_take_waiter():
-                self._stage2.pop(now)
+                stage2.popleft()
                 if self.rrsh.allocate(line, req):
-                    self._intake.push(now + 1, (ReqKind.ELEM, "rrsh", line))
+                    self._intake.append((now + 1, (ReqKind.ELEM, "rrsh", line)))
                 else:
                     self.stats["rrsh_bypass"] += 1
-                    self._intake.push(now + 1, (ReqKind.ELEM, req, line))
+                    self._intake.append((now + 1, (ReqKind.ELEM, req, line)))
                 moved = True
             else:
                 self.stats["rrsh_stall_cycles"] += 1
-        if self._intake or self.pipe.entries:
+        if self._intake or self._pipe:
             moved |= self._step_lookup(now)
         if self.in_dma or self.dma.backlog():
             moved |= self._step_dma(now)
         return moved
 
     def _step_cache_only(self, now):
-        moved = False
-        # splitter: one request per cycle into line pieces, which may enter
-        # the pipe in this same cycle
-        req = self.in_cache.pop(now) if self.in_cache else None
-        if req is not None:
-            parent_id = self._next_parent
-            self._next_parent += 1
-            lines = _lines_of(req.addr, req.nbytes)
-            self._parents[parent_id] = {"req": req, "left": len(lines)}
-            for line in lines:
-                self._intake.push(now, (req.kind, parent_id, line))
+        moved = took = False
+        # splitter: one request per cycle into line pieces; the first takes
+        # this cycle's one intake straight into the pipe when it can
+        wire = self.in_cache
+        if wire and wire[0][0] <= now:
+            req = wire.popleft()[1]
+            kind = req.kind
+            line = _line_of(req.addr)
+            last = _line_of(req.addr + req.nbytes - 1)
+            split = [req, last - line + 1]
+            self._open_splits += 1
+            intake = self._intake
+            if (not intake and len(self._pipe) < self._depth
+                    and self._fill_block != now):
+                self._pipe.append((now + self._depth - 1, (kind, split, line)))
+                line += 1
+                took = True
+            for piece in range(line, last + 1):
+                intake.append((now, (kind, split, piece)))
             moved = True
-        if self._intake or self.pipe.entries:
-            moved |= self._step_lookup(now)
+        if self._intake or self._pipe:
+            moved |= self._step_lookup(now, took)
         return moved
 
-    def _step_lookup(self, now):
-        """Lookup pipe: one intake and one outcome per cycle."""
-        moved = False
-        item = self._intake.peek(now)
-        if item is not None and self.pipe.can_accept() and self._fill_block != now:
-            self._intake.pop(now)
-            self.pipe.accept(item, now)
-            moved = True
-        head = self.pipe.head_due(now)
-        if head is not None:
-            kind, waiter, line = head
-            if kind == ReqKind.WRITE:
-                self.pipe.pop_head()
-                self.cache.lookup(line)  # write-through, no allocate
-                self.stats["write_beats"] += 1
-                self._wr_src.push(now + 1, Beat(self.lmb_id, "wr", waiter, "w",
-                                                line * BEAT_BYTES, BEAT_BYTES))
+    def _step_lookup(self, now, took=False):
+        """Lookup pipe: one intake and one outcome per cycle.
+
+        `took` says the splitter already put this cycle's intake in the pipe.
+        The head's cache set is read in place, as CacheArray.lookup reads it.
+        Only the head takes miss slots and only a fill frees one or changes
+        the sets, so a head that found no slot finds none until a fill comes,
+        and until then it only counts its stall.
+        """
+        pipe = self._pipe
+        moved = took
+        if not took:
+            intake = self._intake
+            if (intake and intake[0][0] <= now and len(pipe) < self._depth
+                    and self._fill_block != now):
+                pipe.append((now + self._depth - 1, intake.popleft()[1]))
                 moved = True
-            elif self.cache.lookup(line):
-                self.pipe.pop_head()
-                self.stats["cache_hits"] += 1
-                self._finish_read(waiter, now, line)
-                moved = True
-            else:
-                new_fetch = self.fetch_slots.try_add(line, waiter)
-                if new_fetch is None:
-                    self.stats["miss_slot_stall_cycles"] += 1
-                    self._stall_at = now
-                else:
-                    self.pipe.pop_head()
-                    self.stats["cache_misses"] += 1
-                    if new_fetch:
-                        # an element line serves 16 bytes per waiting request
-                        useful = 16 if kind == ReqKind.ELEM else BEAT_BYTES
-                        self._cache_src.push(
-                            now + 1, Beat(self.lmb_id, "cache", line, "r",
-                                          line * BEAT_BYTES, useful))
-                    moved = True
-        return moved
+        if not pipe or pipe[0][0] > now:
+            return moved
+        if self._head_waits:
+            self.stats["miss_slot_stall_cycles"] += 1
+            self._stall_at = now
+            return moved
+        kind, waiter, line = pipe[0][1]
+        s = self._sets[line % self._num_sets]
+        hit = line in s
+        if hit:
+            s.remove(line)  # most recently used
+            s.append(line)
+        if kind is ReqKind.WRITE:
+            # write-through, no allocate: a hit only refreshes the line
+            pipe.popleft()
+            self.stats["write_beats"] += 1
+            self._wr_src.append((now + 1, Beat(self.lmb_id, "wr", waiter, "w",
+                                               line * BEAT_BYTES, BEAT_BYTES)))
+            return True
+        if hit:
+            pipe.popleft()
+            self.stats["cache_hits"] += 1
+            self._finish_read(waiter, now, line)
+            return True
+        new_fetch = self.fetch_slots.try_add(line, waiter)
+        if new_fetch is None:
+            self.stats["miss_slot_stall_cycles"] += 1
+            self._stall_at = now
+            self._head_waits = True
+            return moved
+        pipe.popleft()
+        self.stats["cache_misses"] += 1
+        if new_fetch:
+            # an element line serves 16 bytes per waiting request
+            useful = 16 if kind is ReqKind.ELEM else BEAT_BYTES
+            self._cache_src.append((now + 1, Beat(self.lmb_id, "cache", line,
+                                                  "r", line * BEAT_BYTES,
+                                                  useful)))
+        return True
 
     def _push_dma_beat(self, addr, rw, token, useful):
-        self._dma_src.push(self._now + 1, Beat(self.lmb_id, "dma", token, rw,
-                                               addr, useful))
+        self._dma_src.append((self._now + 1, Beat(self.lmb_id, "dma", token, rw,
+                                                  addr, useful)))
 
     def _step_dma(self, now):
         moved = False
         wire = self.in_dma
-        req = wire.pop(now) if wire else None
-        while req is not None:
-            self.dma.enqueue(req)
+        while wire and wire[0][0] <= now:
+            self.dma.enqueue(wire.popleft()[1])
             moved = True
-            req = wire.pop(now)
         moved |= self.dma.step_grant(now)
         moved |= self.dma.step_beats(now, self._emit_dma)
         return moved
@@ -740,13 +755,14 @@ class Lmb:
     def _step_ip(self, now):
         moved = False
         if self._ip_takers:
+            # a taker's wire is never empty
             not_ready = []
             for port in self._ip_takers:
-                req = port.wire.pop(now)
-                if req is None:
+                wire = port.wire
+                if wire[0][0] > now:
                     not_ready.append(port)
                 else:
-                    port.req = req
+                    req = port.req = wire.popleft()[1]
                     port.beats = deque(split_beats(req.addr, req.nbytes))
                     self._ip_issuable += 1
                     moved = True
@@ -767,8 +783,8 @@ class Lmb:
                 port.waiting = True
                 self._ip_issuable -= 1
                 self._ip_rr = (idx + 1) % n
-                self._ip_src.push(now + 1, Beat(self.lmb_id, "ip", port, rw,
-                                                beat_addr, useful))
+                self._ip_src.append((now + 1, Beat(self.lmb_id, "ip", port, rw,
+                                                   beat_addr, useful)))
                 return True
         raise ProtocolError("ip-only issuable count found no port to issue")
 
@@ -785,20 +801,17 @@ class Lmb:
             self._stall_at = None
         moved = False
         wire = self.in_resp
-        if wire:
-            resp = wire.pop(now)
-            while resp is not None:
-                self._apply_response(resp, now)
-                moved = True
-                resp = wire.pop(now)
+        while wire and wire[0][0] <= now:
+            self._apply_response(wire.popleft()[1], now)
+            moved = True
         moved |= self._step_requests(now)
         # port arbiter: one beat per cycle toward the router
         sources = self._sources
         n = len(sources)
         for off in range(n):
             src = sources[(self._arb_rr + off) % n]
-            beat = src.pop(now) if src else None
-            if beat is not None:
+            if src and src[0][0] <= now:
+                beat = src.popleft()[1]
                 self._arb_rr = (self._arb_rr + off + 1) % n
                 if beat.origin == "dma":
                     self.dma.credit_return()
@@ -829,12 +842,13 @@ class Lmb:
                 if ready < wake:
                     wake = ready
         if self._has_pipe:
-            if self._stall_at is None:
-                wake = min(wake, self.pipe.next_due())
-            if self.pipe.can_accept():
-                wake = min(wake, self._intake.head_ready())
+            pipe, intake = self._pipe, self._intake
+            if self._stall_at is None and pipe:
+                wake = min(wake, pipe[0][0])
+            if intake and len(pipe) < self._depth:
+                wake = min(wake, intake[0][0])
         for port in self._ip_takers:
-            wake = min(wake, port.wire.head_ready())
+            wake = min(wake, port.wire[0][0])
         return max(wake, now + 1)
 
     def next_event(self, now):
@@ -842,12 +856,11 @@ class Lmb:
 
     def drained(self):
         return (not self.in_cache and not self.in_dma and not self.in_resp
-                and not self._stage2 and not self._intake
-                and not self.pipe.entries
+                and not self._stage2 and not self._intake and not self._pipe
                 and not self._cache_src and not self._dma_src
                 and not self._wr_src and not self._ip_src
                 and not self.to_router and not self.to_fabric
-                and not self._parents and not self.fetch_slots.lines
+                and not self._open_splits and not self.fetch_slots.lines
                 and not self.dma.descs and not self.dma.pending
                 and not self.dma.backlog()
                 and all(port.req is None and not port.wire

@@ -2,18 +2,33 @@
 
 Every hop between components takes at least one cycle.  A producer pushes an
 item with the cycle at which it becomes visible to the consumer; the consumer
-pops only items whose ready time has arrived.
+takes only items whose ready time has arrived.
 
-A wire may have an owner: the component that consumes it, or the Simulator
-for the wires toward the fabric.  A push onto an empty wire lowers the
-owner's `wake` to the item's ready time, so a component asleep until its wake
-learns of new input without scanning its wires.  A push onto a non-empty wire
-need not: the owner's wake already covers the head, or the head is blocked
-and the new item waits behind it.
+A wire is a deque of (ready, item) pairs.  Hot loops read one in place,
 
-A wire is a deque of (ready, item) pairs, so `if wire:` is a C-level test
-that costs no Python call; `pop(now)` replaces the deque's own `pop` with a
-ready-time-gated one.
+    while wire and wire[0][0] <= now:
+        item = wire.popleft()[1]
+
+which costs no Python call per item and none for the final empty test;
+`pop(now)` is the same read as a method, for tests and cold paths.
+
+A wire that crosses components is a TimedFifo and may have an owner: the
+component that consumes it, or the Simulator for the wires toward the
+fabric.  Its `push` lowers the owner's `wake` to the item's ready time when
+the wire was empty, so a component asleep until its wake learns of new input
+without scanning its wires; a push onto a non-empty wire need not, because
+the owner's wake already covers the head, or the head is blocked and the new
+item waits behind it.  `push` also clamps ready times to be monotone, which
+keeps delivery in order.
+
+The stage wires inside a memory block (reductor stage 2, the lookup intake,
+and the fetch, write, DMA and raw-port beat sources) are plain deques of the
+same pairs, appended in place.  That is safe because neither service of
+`push` applies to them: only the block that appends to one reads it, and
+the block sets its own wake from those wires at the end of each step, so
+there is no owner to wake; and each is appended at a fixed offset from the
+cycle of the step in progress, so its ready times are monotone by
+construction.
 """
 
 from collections import deque
@@ -42,12 +57,3 @@ class TimedFifo(deque):
         if self and self[0][0] <= now:
             return self.popleft()[1]
         return None
-
-    def peek(self, now):
-        if self and self[0][0] <= now:
-            return self[0][1]
-        return None
-
-    def head_ready(self):
-        """Cycle at which the head becomes visible; INF when empty."""
-        return self[0][0] if self else INF

@@ -23,6 +23,7 @@ from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, cp_als,
                            gen_synthetic, mttkrp_oracle)
 
 from refmodel import SetAssocLruRef
+from test_scripts import _load
 
 MODES = ("proposed", "cache-only", "dma-only", "ip-only")
 
@@ -122,23 +123,11 @@ def test_criterion_2_speedup_ordering():
 
 # -- 3. request coalescing on a shared-line trace --------------------------------
 
-def _shared_line_trace(lines, pes, elems_per_line):
-    records = []
-    tag = 0
-    for ln in range(lines):
-        for e in range(elems_per_line):
-            cycle = ln * elems_per_line + e
-            for pe in range(pes):
-                records.append((cycle, "elem", 0, pe,
-                                ln * 64 + e * 16, 16, tag))
-                tag += 1
-    return records
-
-
 def test_criterion_3_coalescing():
     start = time.monotonic()
     lines = 1000
-    records = _shared_line_trace(lines, pes=4, elems_per_line=4)
+    records = _load("coalescing_demo").shared_line_trace(lines, pes=4,
+                                                         elems_per_line=4)
     fabric = FabricConfig(fabric_type="type2", pe_count=4, rank=8)
 
     proposed = SystemConfig(fabric=fabric, lmb=LmbConfig(mode="proposed"),

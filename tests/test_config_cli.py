@@ -245,6 +245,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["cpd", "--iters", "-1"]) == 2
     err = capsys.readouterr().err
     assert "max_iters" in err and "Traceback" not in err
+    # no cache set or coalescing bucket, and negative seeds: a one-line error
+    for command, setting, message in (
+            ("run", "cache.lines=0", "set count 0"),
+            ("run", "rrsh.entries=0", "bucket count 0"),
+            ("run", "run.seed=-5", "run.seed must be non-negative"),
+            ("sweep", "run.seed=-7", "run.seed must be non-negative"),
+            ("cpd", "run.seed=-7", "run.seed must be non-negative"),
+            ("run", "tensor.seed=-3", "tensor.seed must be non-negative")):
+        assert main([command, "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_cli_sweep_csv(tmp_path):

@@ -10,7 +10,7 @@ from lmbsim.engine import (NullImage, Router, Simulator, SystemConfig,
                            report_to_json, simulate, verify_output)
 from lmbsim.errors import ConfigurationError, DeadlockError, VerificationError
 from lmbsim.fabric import FabricConfig, RequestTrace, run_functional
-from lmbsim.memsys import Lmb, LmbConfig
+from lmbsim.memsys import CacheConfig, Lmb, LmbConfig, MshrConfig
 from lmbsim.queues import INF, TimedFifo
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, gen_synthetic,
                            mttkrp_oracle)
@@ -314,7 +314,7 @@ def test_write_ack_reaches_the_fabric_in_the_cycle_it_is_pushed():
 
 
 def _small_run(mode, dims, nnz, seed, fabric_type, pe_count, max_outstanding,
-               rank, num_lmbs):
+               rank, num_lmbs, lmb=None):
     t = gen_synthetic(GenSpec(dims=dims, nnz=min(nnz, dims[0] * dims[1] * dims[2]),
                               seed=seed))
     d = FactorMatrix.random(dims[1], rank, seed=seed + 1)
@@ -322,7 +322,7 @@ def _small_run(mode, dims, nnz, seed, fabric_type, pe_count, max_outstanding,
     cfg = SystemConfig(
         fabric=FabricConfig(fabric_type=fabric_type, pe_count=pe_count,
                             max_outstanding=max_outstanding, rank=rank),
-        lmb=LmbConfig(mode=mode), num_lmbs=num_lmbs,
+        lmb=lmb or LmbConfig(mode=mode), num_lmbs=num_lmbs,
         dram=DramConfig(num_banks=2, queue_depth=1))
     simulate(t, d, c, cfg, verify=True)
 
@@ -353,6 +353,65 @@ def test_ip_port_counts_equal_a_recount(**case):
     Lmb.step = checked_step
     try:
         _small_run("ip-only", **case)
+    finally:
+        Lmb.step = step
+    assert steps[0] > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(["cache-only", "proposed"]),
+       dims=st.tuples(*(st.integers(min_value=1, max_value=8),) * 3),
+       nnz=st.integers(min_value=0, max_value=60),
+       seed=st.integers(min_value=0, max_value=1000),
+       fabric_type=st.sampled_from(["type1", "type2"]),
+       pe_count=st.integers(min_value=1, max_value=8),
+       max_outstanding=st.integers(min_value=1, max_value=4),
+       rank=st.sampled_from([2, 8, 32]),
+       num_lmbs=st.integers(min_value=1, max_value=4),
+       depth=st.integers(min_value=1, max_value=4),
+       slots=st.integers(min_value=1, max_value=4),
+       lines=st.sampled_from([16, 8192]))
+def test_fetch_slot_and_open_split_counts_equal_a_recount(mode, depth, slots,
+                                                          lines, **case):
+    steps = [0]
+    step = Lmb.step
+
+    def checked_step(lmb, now):
+        moved = step(lmb, now)
+        steps[0] += 1
+        fetch = lmb.fetch_slots
+        waiters = sum(len(w) for w in fetch.lines.values())
+        assert fetch.used == (waiters if fetch.per_request
+                              else len(fetch.lines))
+        assert fetch.used <= fetch.capacity
+        if lmb._head_waits:
+            # the pipe head skips its slot test until a fill: it would fail
+            _, waiter, line = lmb._pipe[0][1]
+            cost = 1 if fetch.per_request else int(line not in fetch.lines)
+            assert fetch.used + cost > fetch.capacity
+        # a split request is open from its cut until its answer; every
+        # request in cache-only enters on in_cache and is split
+        live = 0
+        if lmb.mode == "cache-only":
+            live = (lmb.stats["requests"] - len(lmb.in_cache)
+                    - lmb.stats["responses"])
+        assert lmb._open_splits == live
+        # a record counts at least the pieces the block still holds
+        held = [item[1] for _, item in lmb._pipe] + \
+            [item[1] for _, item in lmb._intake] + \
+            [w for ws in fetch.lines.values() for w in ws]
+        for split in held:
+            if isinstance(split, list):
+                assert split[1] >= sum(1 for h in held if h is split)
+        return moved
+
+    lmb = LmbConfig(mode=mode,
+                    cache=CacheConfig(num_lines=lines, pipeline_depth=depth,
+                                      miss_slots=slots),
+                    mshr=MshrConfig(entries=slots))
+    Lmb.step = checked_step
+    try:
+        _small_run(mode, lmb=lmb, **case)
     finally:
         Lmb.step = step
     assert steps[0] > 0

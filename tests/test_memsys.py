@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from lmbsim.errors import ConfigurationError
 from lmbsim.fabric import MemoryRequest, ReqKind
-from lmbsim.memsys import (CacheArray, CacheConfig, CachePipe, DmaConfig,
-                           DmaEngine, RrshConfig, RrshTable, TempBuffer,
-                           TempBufferConfig, xor_hash, _FetchSlots)
+from lmbsim.memsys import (CacheArray, CacheConfig, DmaConfig, DmaEngine, Lmb,
+                           LmbConfig, MshrConfig, RrshConfig, RrshTable,
+                           TempBuffer, TempBufferConfig, xor_hash, _FetchSlots)
 
 from refmodel import SetAssocLruRef
 
@@ -104,6 +104,14 @@ def test_rrsh_full_set_forces_bypass():
     assert table.pending == 4
 
 
+def test_rrsh_config_needs_a_bucket():
+    with pytest.raises(ConfigurationError, match="bucket count 0"):
+        RrshConfig(entries=0, ways=4)
+    with pytest.raises(ConfigurationError, match="bucket count 3"):
+        RrshConfig(entries=12, ways=4)
+    assert RrshConfig(entries=4, ways=4).buckets == 1
+
+
 # --- cache array vs reference model -------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -133,29 +141,70 @@ def test_cache_config_validation():
         CacheConfig(num_lines=9, assoc=2)
     with pytest.raises(ConfigurationError):
         CacheConfig(num_lines=24, assoc=2)  # 12 sets
+    with pytest.raises(ConfigurationError, match="set count 0"):
+        CacheConfig(num_lines=0, assoc=2)   # 0 & -1 == 0, yet no set
     assert CacheConfig(num_lines=16, assoc=2).num_sets == 8
 
 
 # --- lookup pipeline ----------------------------------------------------------
+#
+# The pipe is folded into the block, so its timing is read off a cache-only
+# block: the splitter cuts one request per cycle and its first piece enters
+# the pipe in the cycle it is cut; every lookup here misses, so the cycle an
+# access is due is the cycle cache_misses counts it.
+
+def _lookup_block(depth, mshr=8):
+    cfg = LmbConfig(mode="cache-only",
+                    cache=CacheConfig(num_lines=16, pipeline_depth=depth),
+                    mshr=MshrConfig(entries=mshr))
+    return Lmb(0, cfg, image=None)  # no line returns, so nothing is answered
+
+
+def _miss_cycles(lmb, cycles):
+    out = []
+    for now in range(cycles):
+        before = lmb.stats["cache_misses"]
+        lmb.step(now)
+        out += [now] * (lmb.stats["cache_misses"] - before)
+    return out
+
 
 def test_cache_pipe_depth_and_order():
-    pipe = CachePipe(3)
-    pipe.accept("a", now=0)
-    pipe.accept("b", now=1)
-    assert pipe.head_due(0) is None
-    assert pipe.head_due(1) is None
-    assert pipe.head_due(2) == "a"
-    assert pipe.pop_head() == "a"
-    assert pipe.head_due(2) is None
-    assert pipe.head_due(3) == "b"
-    assert pipe.next_due() == 3
+    lmb = _lookup_block(depth=3)
+    lmb.accept(make_req(ReqKind.ELEM, 0, 16, tag=0), -1)   # cut at cycle 0
+    lmb.accept(make_req(ReqKind.ELEM, 64, 16, tag=1), 0)   # cut at cycle 1
+    assert _miss_cycles(lmb, 6) == [2, 3]  # due depth - 1 cycles after entry
+    # in order: fetch beats reach the router wire one hop and one
+    # arbiter hop after their outcome
+    assert [(ready, beat.addr) for ready, beat in lmb.to_router] == \
+        [(4, 0), (5, 64)]
 
 
 def test_cache_pipe_capacity():
-    pipe = CachePipe(2)
-    pipe.accept("a", now=0)
-    pipe.accept("b", now=0)
-    assert not pipe.can_accept()
+    # one 4-line request; a single MSHR slot lets the first piece miss and
+    # leaves the second waiting at the head, so the pipe fills up
+    lmb = _lookup_block(depth=2, mshr=1)
+    lmb.accept(make_req(ReqKind.ROW_D, 0, 256), -1)
+    for now in range(6):
+        lmb.step(now)
+        assert len(lmb._pipe) <= 2
+    assert len(lmb._pipe) == 2 and len(lmb._intake) == 1
+    assert [due for due, _ in lmb._pipe] == [2, 3]
+
+
+@pytest.mark.parametrize("fill", [False, True])
+def test_first_piece_enters_the_pipe_where_it_is_cut(fill):
+    # depth 1: an access is due in the cycle it enters, so a piece that
+    # enters where it is cut misses in that cycle; a fill in that cycle
+    # blocks the intake, and the piece enters from the intake a cycle later
+    lmb = _lookup_block(depth=1)
+    lmb.accept(make_req(ReqKind.ELEM, 0, 16), 4)             # cut at cycle 5
+    if fill:
+        lmb.fetch_slots.try_add(7, "w")
+        lmb.in_resp.push(5, ("cache", 7))
+        lmb._finish_read = lambda waiter, now, line: None
+    assert _miss_cycles(lmb, 8) == ([6] if fill else [5])
+    assert lmb._open_splits == 1 and not lmb._intake
 
 
 # --- fetch slot accounting ----------------------------------------------------

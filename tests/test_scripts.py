@@ -33,3 +33,18 @@ def test_speedup_sweep_quick_rows_and_geometric_means(capsys):
                   + 1:]
     gmeans = {f[0]: f[1] for f in (line.split() for line in block)}
     assert gmeans == {mode: f[5] for mode, f in rows.items()}
+
+
+def test_coalescing_demo_smoke(capsys):
+    demo = _load("coalescing_demo")
+    assert demo.main(["--lines", "50"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "800 element reads over 50 shared lines (4 PEs)"
+    rows = {f[0]: [int(x) for x in f[1:]]
+            for f in (line.split() for line in lines[3:])}
+    assert list(rows) == ["proposed", "cache-only"]
+    # columns: lookups, coalesced, tempbuf, fetches, cycles.  The proposed
+    # block fetches each line once and looks it up far less often than the
+    # conventional cache
+    assert rows["proposed"][3] == 50
+    assert rows["proposed"][0] < rows["cache-only"][0]
