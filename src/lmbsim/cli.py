@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -26,7 +27,7 @@ import sys
 from . import config as cfgmod
 from .engine import REFERENCE_SPEEDUP, replay_trace, report_to_json, simulate
 from .errors import ConfigurationError, DataError, LmbsimError, VerificationError
-from .fabric import FabricConfig, ReqKind, RequestTrace, fabric_mttkrp_kernel
+from .fabric import ReqKind, RequestTrace, fabric_mttkrp_kernel
 from .memsys import MODES
 from .tensor import FactorMatrix, cp_als, gen_synthetic
 from . import tensor_io
@@ -58,20 +59,26 @@ def _resolve(args, extra=()):
     return settings
 
 
+# the setting each command-line flag gives; gen's --seed also seeds the tensor
+_FLAG_SETTINGS = (
+    ("seed", "run.seed"), ("verify", "run.verify"), ("rank", "fabric.rank"),
+    ("tensor", "tensor.file"), ("format", "output.format"),
+    ("trace_out", "output.trace"), ("dims", "tensor.dims"),
+    ("nnz", "tensor.nnz"), ("distribution", "tensor.distribution"),
+)
+
+
 def _flag_overrides(args):
+    """The settings the given flags make, applied after every --set."""
+    table = _FLAG_SETTINGS
+    if args.command == "gen":
+        table += (("seed", "tensor.seed"),)
     extra = []
-    if getattr(args, "seed", None) is not None:
-        extra.append(f"run.seed={args.seed}")
-    if getattr(args, "verify", False):
-        extra.append("run.verify=true")
-    if getattr(args, "rank", None) is not None:
-        extra.append(f"fabric.rank={args.rank}")
-    if getattr(args, "tensor", None):
-        extra.append(f"tensor.file={args.tensor}")
-    if getattr(args, "format", None):
-        extra.append(f"output.format={args.format}")
-    if getattr(args, "trace_out", None):
-        extra.append(f"output.trace={args.trace_out}")
+    for attr, key in table:
+        value = getattr(args, attr, None)
+        if value is None or value is False or value == "":
+            continue
+        extra.append(f"{key}={'true' if value is True else value}")
     return extra
 
 
@@ -383,12 +390,8 @@ def cmd_cpd(args):
     tensor, name = _load_workload(built)
     kernel = None
     if args.use_fabric:
-        kernel = fabric_mttkrp_kernel(FabricConfig(
-            fabric_type=built.system.fabric.fabric_type,
-            pe_count=built.system.fabric.pe_count,
-            max_outstanding=built.system.fabric.max_outstanding,
-            accumulate_cycles=built.system.fabric.accumulate_cycles,
-            rank=args.cp_rank))
+        kernel = fabric_mttkrp_kernel(
+            dataclasses.replace(built.system.fabric, rank=args.cp_rank))
     result = cp_als(tensor, args.cp_rank, max_iters=args.iters, tol=args.tol,
                     seed=built.seed, mttkrp=kernel)
     report = {
@@ -478,14 +481,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "dims", None):
-        args.overrides.append(f"tensor.dims={args.dims}")
-    if getattr(args, "nnz", None) is not None:
-        args.overrides.append(f"tensor.nnz={args.nnz}")
-    if getattr(args, "distribution", None):
-        args.overrides.append(f"tensor.distribution={args.distribution}")
-    if getattr(args, "seed", None) is not None and args.command == "gen":
-        args.overrides.append(f"tensor.seed={args.seed}")
     try:
         return args.func(args)
     except (ConfigurationError, DataError) as exc:

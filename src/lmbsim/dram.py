@@ -20,8 +20,9 @@ earliest cycle at which the next step can do anything: the heap's top, the
 next cycle while a finished beat waits for the bus, or the ingress head's
 ready time.  A head blocked on a full bank queue is left out while that queue
 stays full; only a service start on its bank, in some later step, frees a
-slot.  The blocked cycles are charged to hol_block_cycles per interval: the
-next step adds the cycles it slept, then checks the head again.
+slot.  Its blocked cycles are charged to hol_block_cycles once, when the wait
+ends: the step in which the head enters its queue adds the cycles since the
+head was first found blocked.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class Dram:
         self._finished = 0     # serviced beats waiting for the bus
         self._held = 0         # beats queued, in service or finished
         self._hol = None       # (bank, row) of the ingress head while blocked
-        self._hol_at = 0       # last cycle a step found that head blocked
+        self._hol_from = 0     # first cycle a step found that head blocked
         self.stats = {
             "beats": 0, "row_hits": 0, "row_misses": 0,
             "busy_cycles": 0, "hol_block_cycles": 0,
@@ -132,18 +133,18 @@ class Dram:
         # 2. ingress with head-of-line blocking
         ingress = self.ingress
         depth = self.queue_depth
-        if self._hol is not None:
-            stats["hol_block_cycles"] += now - self._hol_at - 1
         while ingress and ingress[0][0] <= now:
             beat = ingress[0][1]
             loc = self._hol or self._locate(beat.addr)
             bank = banks[loc[0]]
             if len(bank.queue) >= depth:
-                stats["hol_block_cycles"] += 1
-                self._hol = loc
-                self._hol_at = now
+                if self._hol is None:
+                    self._hol = loc
+                    self._hol_from = now
                 break
-            self._hol = None
+            if self._hol is not None:
+                stats["hol_block_cycles"] += now - self._hol_from
+                self._hol = None
             ingress.popleft()
             if not bank.queue and bank.current is None and bank.done is None:
                 starts.append(loc[0])

@@ -37,15 +37,17 @@ ack pushed at `now` still reaches its PE in the same cycle.  A block runs
 each of its parts only when that part holds input.  A DRAM head blocked on a
 full bank queue and a lookup-pipe head waiting for a miss slot are left out
 of the wake until what unblocks them happens (a service start on that bank,
-a fill on in_resp), so the two stall counters, hol_block_cycles and
-miss_slot_stall_cycles, are charged per blocked interval: the next step adds
-the cycles slept, then checks once more.  The fabric side steps only the
-armed workloads: the indices, in index order, of those whose want_step is
-set.  A workload leaves the list when a step clears want_step and a delivery
-(which sets it) puts it back; index order matters, because machines feed the
-block wires in that order.  Only an iteration that moved nothing asks whether
-the run is done; if it is not, the engine jumps to the earliest wake or other
-pending event.
+a fill on in_resp).  Their stall counters, hol_block_cycles and
+miss_slot_stall_cycles, are each charged once, when the wait ends: the cycles
+since the head was first found blocked are added when the DRAM head enters
+its bank queue, and at the fill that frees the pipe head's slot.  A count
+read in the middle of a wait leaves that wait out.  The fabric side steps
+only the armed workloads: the indices, in index order, of those whose
+want_step is set.  A workload leaves the list when a step clears want_step
+and a delivery (which sets it) puts it back; index order matters, because
+machines feed the block wires in that order.  Only an iteration that moved
+nothing asks whether the run is done; if it is not, the engine jumps to the
+earliest wake or other pending event.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class Router:
         back = self.dram.to_router
         while back and back[0][0] <= now:
             beat = back.popleft()[1]
-            lmbs[beat.lmb].in_resp.push(now + 1, (beat.origin, beat.token))
+            lmbs[beat.lmb].in_resp.push(now + 1, (beat.handler, beat.token))
             self.stats["returned"] += 1
             moved = True
         # the earliest input head, or the next cycle when one is already
@@ -418,6 +420,11 @@ def simulate(tensor, d, c, syscfg: SystemConfig, verify=False,
     if syscfg.fabric.rank != d.rank or syscfg.fabric.rank != c.rank:
         raise ConfigurationError("fabric rank differs from factor rank")
     amap = AddressMap.build(tensor.nnz, tensor.dims, syscfg.fabric.rank)
+    bits = syscfg.dram.address_bits
+    if amap.end > 1 << bits:
+        raise ConfigurationError(
+            f"the layout's {amap.end} bytes do not fit the {bits}-bit "
+            "address space")
     image = MemoryImage(tensor, d, c)
     machines = build_machines(syscfg.fabric, tensor, amap)
     sim = Simulator(syscfg, image, machines, trace=trace)

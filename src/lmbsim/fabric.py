@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -508,9 +508,7 @@ def fabric_mttkrp_kernel(cfg: FabricConfig):
 
     def kernel(tensor, d, c):
         t = tensor if tensor.mode_sorted() else tensor.sorted_mode0()
-        fc = cfg if cfg.rank == d.rank else FabricConfig(
-            cfg.fabric_type, cfg.pe_count, cfg.max_outstanding,
-            cfg.accumulate_cycles, d.rank)
+        fc = cfg if cfg.rank == d.rank else replace(cfg, rank=d.rank)
         return run_functional(t, d, c, fc)
 
     return kernel

@@ -11,29 +11,20 @@ engine and the raw port alike; and the port arbiter, one beat per cycle
 toward the router, round-robin over the mode's beat sources.
 
 The mode picks, once, when the block is built, the wire each request kind
-enters on, the request-side step, what a returned line completes, the
-arbiter's sources, and the wake wires: the wires that can hold anything in
-that mode, which are all a step that moved nothing reads to find its next
-wake (the DMA backlog and the lookup pipe count only where the mode has
-them):
+enters on, the request-side step, what a returned line completes and the
+arbiter's sources:
 
   proposed    element reads: in_cache -> reductor -> lookup pipe, one fetch
               slot per line; a returned line answers every parked request.
               Other kinds: in_dma -> DMA engine.  Arbiter: fetches, DMA.
-              Wake wires: in_resp, in_cache, in_dma, stage 2, fetches, DMA.
-  cache-only  everything: in_cache -> splitter -> lookup pipe, one line piece
-              per line a request touches, each carrying the request's
-              [request, pieces left] record, whose last piece answers.  The
-              first piece enters the pipe where it is cut, with no trip
-              through the intake, when the intake is empty, the pipe has
-              room and no fill blocks the intake: that is the cycle's one
-              intake.  Otherwise it queues on the intake like the rest.  One
-              MSHR slot per waiting piece (primary and secondary alike), and
-              the pipe stalls when slots run out.  Arbiter: fetches, writes.
-              Wake wires: in_resp, in_cache, fetches, writes.
+  cache-only  everything: in_cache -> splitter -> intake -> lookup pipe, one
+              line piece per line a request touches, each carrying the
+              request's [request, pieces left] record, whose last piece
+              answers.  One MSHR slot per waiting piece (primary and
+              secondary alike), and the pipe stalls when slots run out.
+              Arbiter: fetches, writes.
   dma-only    everything: in_dma -> DMA engine, elements included, so each
               16-byte element costs a full 64-byte beat.
-              Wake wires: in_resp, in_dma, DMA.
   ip-only     raw port: a wire per PE, one request per PE at a time, whose
               beats issue one by one, each after the previous round trip.
               The ports are records in a list sorted by PE.  A count of the
@@ -42,9 +33,19 @@ them):
               away, and the answer to a beat that is not its request's last
               adds one back.  A list of the free ports with a request queued
               (filled by accept and by a port's last answer) is all the
-              intake looks at.  Each beat carries its port as token.
-              Wake wires: in_resp, the port beats, and the wires of the free
-              ports with a request queued.
+              intake looks at.
+
+Every beat carries the block's handler for its answer and that handler's
+token, so an answer is applied with no dispatch on where its beat came from.
+
+A step that moved nothing finds its next wake on the same wires in every mode
+(a wire the mode never feeds is empty): in_resp, in_cache, in_dma and
+reductor stage 2, then the lookup pipe, the intake and the free ip ports with
+a request queued.  The arbiter's sources and the DMA backlog hold nothing
+after such a step: the arbiter takes a ready head every cycle, a beat
+appended to a source is ready the next cycle and the step that appended it
+moved, and a DMA backlog always grants, issues a beat or has staged beats
+ready at the arbiter.
 
 Timing contract: every arrow between stages is a 1-cycle timestamped wire.
 Within a cycle an Lmb first applies responses from memory, then advances the
@@ -206,19 +207,19 @@ class _Port:
 class Beat:
     """One 64-byte transfer on the memory side."""
 
-    __slots__ = ("lmb", "origin", "token", "rw", "addr", "useful")
+    __slots__ = ("lmb", "handler", "token", "rw", "addr", "useful")
 
-    def __init__(self, lmb, origin, token, rw, addr, useful):
+    def __init__(self, lmb, handler, token, rw, addr, useful):
         self.lmb = lmb
-        self.origin = origin  # cache | dma | wr | ip
+        self.handler = handler  # handler(token, now) applies the answer
         self.token = token
         self.rw = rw
         self.addr = addr
         self.useful = useful
 
     def __repr__(self):
-        return (f"Beat({self.origin}/{self.rw}, addr={self.addr:#x}, "
-                f"lmb={self.lmb}, token={self.token})")
+        return (f"Beat({self.rw}, addr={self.addr:#x}, lmb={self.lmb}, "
+                f"token={self.token})")
 
 
 def _line_of(addr):
@@ -395,12 +396,14 @@ class DmaEngine:
     def credit_return(self):
         self.credits += 1
 
-    def on_response(self, desc_id, complete_cb):
+    def on_response(self, desc_id):
+        """The request whose last beat this answers, else None."""
         rec = self.pending[desc_id]
         rec[1] -= 1
         if rec[1] == 0:
             del self.pending[desc_id]
-            complete_cb(rec[0])
+            return rec[0]
+        return None
 
     def step_grant(self, now):
         if not self._queued:
@@ -424,12 +427,13 @@ class DmaEngine:
                 return True
         return False
 
-    def step_beats(self, now, emit):
+    def step_beats(self, now):
+        """(addr, rw, desc id, useful bytes) of the beat issued, else None."""
         if not self.descs:
-            return False
+            return None
         if self.credits <= 0:
             self.stats["credit_stall_cycles"] += 1
-            return False
+            return None
         # every listed descriptor has a beat left: it leaves with its last
         count = len(self.descs)
         idx = self._beat_rr % count
@@ -440,8 +444,7 @@ class DmaEngine:
         self._beat_rr = (self._beat_rr + 1) % count
         if not beats:
             del self.descs[idx]
-        emit(addr, "w" if req.kind == ReqKind.WRITE else "r", desc_id, useful)
-        return True
+        return addr, "w" if req.kind == ReqKind.WRITE else "r", desc_id, useful
 
 
 class Lmb:
@@ -453,9 +456,7 @@ class Lmb:
         self.image = image
         self.mode = mode = cfg.mode
         self.wake = INF       # step is a no-op before this cycle
-        self._now = 0         # cycle of the step in progress
-        self._stall_at = None  # last cycle the pipe head found no miss slot
-        self._head_waits = False  # and no fill has freed a slot since
+        self._wait_from = None  # first cycle the pipe head found no miss slot
         # wires toward this block; a push onto an empty one lowers wake
         self.in_cache = TimedFifo(self)  # into the reductor or the splitter
         self.in_dma = TimedFifo(self)
@@ -498,31 +499,24 @@ class Lmb:
         self._ip_issuable = 0        # ports holding a beat to issue
         self._ip_takers = []         # free ports with a request queued
         self._ip_rr = 0
-        self._emit_dma = self._push_dma_beat
         self._fill_block = -1
         self._arb_rr = 0
-        # the wiring: request-side step, what a returned line completes,
-        # arbiter sources, and the wires that can hold anything in this
-        # mode, which _idle_wake reads
-        cache, dma, resp = self.in_cache, self.in_dma, self.in_resp
-        (self._step_requests, self._finish_read, self._sources,
-         self._wake_wires) = {
+        # the wiring: request-side step, what a returned line completes and
+        # the arbiter's sources
+        self._step_requests, self._finish_read, self._sources = {
             "proposed": (self._step_proposed, self._finish_elem_line,
-                         (self._cache_src, self._dma_src),
-                         (resp, cache, dma, self._stage2, self._cache_src,
-                          self._dma_src)),
+                         (self._cache_src, self._dma_src)),
             "cache-only": (self._step_cache_only, self._piece_done,
-                           (self._cache_src, self._wr_src),
-                           (resp, cache, self._cache_src, self._wr_src)),
-            "dma-only": (self._step_dma, None, (self._dma_src,),
-                         (resp, dma, self._dma_src)),
-            "ip-only": (self._step_ip, None, (self._ip_src,),
-                        (resp, self._ip_src)),
+                           (self._cache_src, self._wr_src)),
+            "dma-only": (self._step_dma, None, (self._dma_src,)),
+            "ip-only": (self._step_ip, None, (self._ip_src,)),
         }[mode]
-        self._has_dma = mode in ("proposed", "dma-only")
-        self._has_pipe = mode in ("proposed", "cache-only")
+        # the wires _idle_wake reads, the same in every mode
+        self._wake_wires = (self.in_resp, self.in_cache, self.in_dma,
+                            self._stage2)
         # the wire every request enters on, where one wire takes them all
-        self._only_wire = {"cache-only": cache, "dma-only": dma}.get(mode)
+        self._only_wire = {"cache-only": self.in_cache,
+                           "dma-only": self.in_dma}.get(mode)
         self._wire_of = self._ip_wire if mode == "ip-only" else self._kind_wire
 
     # -- request intake from the fabric ---------------------------------
@@ -558,30 +552,28 @@ class Lmb:
         else:
             self.to_fabric.push(now + 1, (req.tag, self.image.read(req.sem)))
 
-    def _respond_now(self, req):
-        self._respond(req, self._now)
+    # -- answers from memory: each beat names its handler -------------------
 
-    # -- memory-side response processing -----------------------------------
+    def _fill(self, line, now):
+        """A fetched line: fill it, block the intake, answer its waiters.
 
-    def _apply_response(self, beat_info, now):
-        origin, token = beat_info
-        if origin == "cache":
-            line = token
-            if self.cache.insert(line) is not None:
-                self.stats["evictions"] += 1
-            self._fill_block = now
-            self._head_waits = False
-            self.stats["fill_block_cycles"] += 1
-            for waiter in self.fetch_slots.complete(line):
-                self._finish_read(waiter, now, line)
-        elif origin == "dma":
-            self.dma.on_response(token, self._respond_now)
-        elif origin == "wr":
-            self._piece_done(token, now)
-        elif origin == "ip":
-            self._ip_beat_done(token, now)
-        else:
-            raise ProtocolError(f"response with unknown origin {origin!r}")
+        The fill frees a miss slot, so a pipe head waiting for one stops
+        waiting now and its stall is charged once, here.
+        """
+        if self.cache.insert(line) is not None:
+            self.stats["evictions"] += 1
+        self._fill_block = now
+        if self._wait_from is not None:
+            self.stats["miss_slot_stall_cycles"] += now - self._wait_from
+            self._wait_from = None
+        self.stats["fill_block_cycles"] += 1
+        for waiter in self.fetch_slots.complete(line):
+            self._finish_read(waiter, now, line)
+
+    def _dma_done(self, desc_id, now):
+        req = self.dma.on_response(desc_id)
+        if req is not None:
+            self._respond(req, now)
 
     def _finish_elem_line(self, waiter, now, line):
         if waiter == "rrsh":
@@ -657,9 +649,8 @@ class Lmb:
         return moved
 
     def _step_cache_only(self, now):
-        moved = took = False
-        # splitter: one request per cycle into line pieces; the first takes
-        # this cycle's one intake straight into the pipe when it can
+        moved = False
+        # splitter: one request per cycle into line pieces, ready at once
         wire = self.in_cache
         if wire and wire[0][0] <= now:
             req = wire.popleft()[1]
@@ -668,41 +659,29 @@ class Lmb:
             last = _line_of(req.addr + req.nbytes - 1)
             split = [req, last - line + 1]
             self._open_splits += 1
-            intake = self._intake
-            if (not intake and len(self._pipe) < self._depth
-                    and self._fill_block != now):
-                self._pipe.append((now + self._depth - 1, (kind, split, line)))
-                line += 1
-                took = True
             for piece in range(line, last + 1):
-                intake.append((now, (kind, split, piece)))
+                self._intake.append((now, (kind, split, piece)))
             moved = True
         if self._intake or self._pipe:
-            moved |= self._step_lookup(now, took)
+            moved |= self._step_lookup(now)
         return moved
 
-    def _step_lookup(self, now, took=False):
+    def _step_lookup(self, now):
         """Lookup pipe: one intake and one outcome per cycle.
 
-        `took` says the splitter already put this cycle's intake in the pipe.
         The head's cache set is read in place, as CacheArray.lookup reads it.
         Only the head takes miss slots and only a fill frees one or changes
-        the sets, so a head that found no slot finds none until a fill comes,
-        and until then it only counts its stall.
+        the sets, so a head that found no slot finds none until a fill comes:
+        until then it waits untested, and the fill charges its stall.
         """
         pipe = self._pipe
-        moved = took
-        if not took:
-            intake = self._intake
-            if (intake and intake[0][0] <= now and len(pipe) < self._depth
-                    and self._fill_block != now):
-                pipe.append((now + self._depth - 1, intake.popleft()[1]))
-                moved = True
-        if not pipe or pipe[0][0] > now:
-            return moved
-        if self._head_waits:
-            self.stats["miss_slot_stall_cycles"] += 1
-            self._stall_at = now
+        moved = False
+        intake = self._intake
+        if (intake and intake[0][0] <= now and len(pipe) < self._depth
+                and self._fill_block != now):
+            pipe.append((now + self._depth - 1, intake.popleft()[1]))
+            moved = True
+        if not pipe or pipe[0][0] > now or self._wait_from is not None:
             return moved
         kind, waiter, line = pipe[0][1]
         s = self._sets[line % self._num_sets]
@@ -714,8 +693,9 @@ class Lmb:
             # write-through, no allocate: a hit only refreshes the line
             pipe.popleft()
             self.stats["write_beats"] += 1
-            self._wr_src.append((now + 1, Beat(self.lmb_id, "wr", waiter, "w",
-                                               line * BEAT_BYTES, BEAT_BYTES)))
+            self._wr_src.append((now + 1, Beat(self.lmb_id, self._piece_done,
+                                               waiter, "w", line * BEAT_BYTES,
+                                               BEAT_BYTES)))
             return True
         if hit:
             pipe.popleft()
@@ -724,23 +704,17 @@ class Lmb:
             return True
         new_fetch = self.fetch_slots.try_add(line, waiter)
         if new_fetch is None:
-            self.stats["miss_slot_stall_cycles"] += 1
-            self._stall_at = now
-            self._head_waits = True
+            self._wait_from = now
             return moved
         pipe.popleft()
         self.stats["cache_misses"] += 1
         if new_fetch:
             # an element line serves 16 bytes per waiting request
             useful = 16 if kind is ReqKind.ELEM else BEAT_BYTES
-            self._cache_src.append((now + 1, Beat(self.lmb_id, "cache", line,
-                                                  "r", line * BEAT_BYTES,
+            self._cache_src.append((now + 1, Beat(self.lmb_id, self._fill,
+                                                  line, "r", line * BEAT_BYTES,
                                                   useful)))
         return True
-
-    def _push_dma_beat(self, addr, rw, token, useful):
-        self._dma_src.append((self._now + 1, Beat(self.lmb_id, "dma", token, rw,
-                                                  addr, useful)))
 
     def _step_dma(self, now):
         moved = False
@@ -749,8 +723,13 @@ class Lmb:
             self.dma.enqueue(wire.popleft()[1])
             moved = True
         moved |= self.dma.step_grant(now)
-        moved |= self.dma.step_beats(now, self._emit_dma)
-        return moved
+        beat = self.dma.step_beats(now)
+        if beat is None:
+            return moved
+        addr, rw, desc_id, useful = beat
+        self._dma_src.append((now + 1, Beat(self.lmb_id, self._dma_done,
+                                            desc_id, rw, addr, useful)))
+        return True
 
     def _step_ip(self, now):
         moved = False
@@ -783,8 +762,9 @@ class Lmb:
                 port.waiting = True
                 self._ip_issuable -= 1
                 self._ip_rr = (idx + 1) % n
-                self._ip_src.append((now + 1, Beat(self.lmb_id, "ip", port, rw,
-                                                   beat_addr, useful)))
+                self._ip_src.append((now + 1, Beat(self.lmb_id,
+                                                   self._ip_beat_done, port,
+                                                   rw, beat_addr, useful)))
                 return True
         raise ProtocolError("ip-only issuable count found no port to issue")
 
@@ -793,16 +773,11 @@ class Lmb:
     def step(self, now):
         if now < self.wake:
             return False
-        self._now = now
-        if self._stall_at is not None:
-            # cycles slept with the pipe head waiting for a miss slot; the
-            # lookup below charges this cycle if it still waits
-            self.stats["miss_slot_stall_cycles"] += now - self._stall_at - 1
-            self._stall_at = None
         moved = False
         wire = self.in_resp
         while wire and wire[0][0] <= now:
-            self._apply_response(wire.popleft()[1], now)
+            handler, token = wire.popleft()[1]
+            handler(token, now)
             moved = True
         moved |= self._step_requests(now)
         # port arbiter: one beat per cycle toward the router
@@ -813,7 +788,7 @@ class Lmb:
             if src and src[0][0] <= now:
                 beat = src.popleft()[1]
                 self._arb_rr = (self._arb_rr + off + 1) % n
-                if beat.origin == "dma":
+                if src is self._dma_src:
                     self.dma.credit_return()
                 self.to_router.push(now + 1, beat)
                 moved = True
@@ -824,29 +799,23 @@ class Lmb:
     def _idle_wake(self, now):
         """First cycle at which a step that moved nothing can act again.
 
-        Only the mode's wake wires are read, and the DMA backlog and the
-        lookup pipe only in the modes that have them.  Whatever was ready and
-        is not listed here is blocked, and only an input push unblocks it: a
-        pipe head waiting for a miss slot and the intake behind a full pipe
-        wait for a fill on in_resp, and a busy ip port's queued requests wait
-        for its response.  Of the ip ports only the free ones with a request
-        queued count.  A DMA backlog and a stalled reductor stage 2 count
-        their stall cycles one step at a time.
+        Whatever was ready and is not read here is blocked, and only an input
+        push unblocks it: a pipe head waiting for a miss slot and the intake
+        behind a full pipe wait for a fill on in_resp, and a busy ip port's
+        queued requests wait for its response.  A stalled reductor stage 2
+        counts its stall cycles one step at a time.
         """
-        if self._has_dma and self.dma.backlog():
-            return now + 1
         wake = INF
         for wire in self._wake_wires:
             if wire:
                 ready = wire[0][0]
                 if ready < wake:
                     wake = ready
-        if self._has_pipe:
-            pipe, intake = self._pipe, self._intake
-            if self._stall_at is None and pipe:
-                wake = min(wake, pipe[0][0])
-            if intake and len(pipe) < self._depth:
-                wake = min(wake, intake[0][0])
+        pipe, intake = self._pipe, self._intake
+        if pipe and self._wait_from is None:
+            wake = min(wake, pipe[0][0])
+        if intake and len(pipe) < self._depth:
+            wake = min(wake, intake[0][0])
         for port in self._ip_takers:
             wake = min(wake, port.wire[0][0])
         return max(wake, now + 1)

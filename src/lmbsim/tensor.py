@@ -289,6 +289,9 @@ def cp_als(tensor: CooTensor, rank, max_iters=50, tol=1e-6, seed=0,
         return out.values.astype(np.float64)
 
     norm_b = float(np.linalg.norm(tensor.vals.astype(np.float64)))
+    if max_iters and norm_b == 0:
+        raise DataError("cannot decompose an all-zero tensor "
+                        f"({tensor.nnz} elements stored)")
     fits = []
     prev_fit = None
     iters_done = 0

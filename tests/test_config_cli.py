@@ -184,6 +184,19 @@ def test_cli_gen_empty_tensor(tmp_path, capsys):
     assert t.nnz == 0 and t.dims == (8, 8, 8)
 
 
+def test_cli_gen_flags_win_over_every_set(tmp_path):
+    out = tmp_path / "t.tns"
+    flags = ["--dims", "6 6 6", "--nnz", "20", "--seed", "7",
+             "--distribution", "mode-clustered"]
+    assert main(["gen", "--out", str(out), *flags]) == 0
+    want = out.read_bytes()
+    assert main(["gen", "--out", str(out), "--set", "tensor.dims=9 9 9",
+                 "--set", "tensor.nnz=30", "--set", "tensor.seed=1",
+                 "--set", "tensor.distribution=uniform", *flags,
+                 "--set", "tensor.nnz=40"]) == 0
+    assert out.read_bytes() == want
+
+
 def test_cli_gen_same_seed_same_bytes(tmp_path):
     paths = [tmp_path / f"t{n}.bin" for n in range(2)]
     for path in paths:
@@ -254,6 +267,15 @@ def test_cli_exit_codes(tmp_path, capsys):
             ("cpd", "run.seed=-7", "run.seed must be non-negative"),
             ("run", "tensor.seed=-3", "tensor.seed must be non-negative")):
         assert main([command, "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+    # an empty tensor to decompose, and a layout past dram.address_bits
+    for argv, message in (
+            (["cpd", "--set", "tensor.nnz=0"], "all-zero tensor"),
+            (["run", "--set", "dram.address_bits=12",
+              "--set", "tensor.nnz=200"], "12-bit address space")):
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1

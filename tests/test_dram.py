@@ -12,7 +12,7 @@ from lmbsim.queues import INF
 
 
 def beat(addr, token=0, useful=64):
-    return Beat(lmb=0, origin="dma", token=token, rw="r", addr=addr,
+    return Beat(lmb=0, handler=None, token=token, rw="r", addr=addr,
                 useful=useful)
 
 
@@ -181,14 +181,14 @@ def test_blocked_head_sleeps_until_its_bank_frees_a_slot():
     assert d.next_event(0) == 1
     d.step(1)      # 1 queues behind 0, 2 blocks with the queue full
     assert d.next_event(1) == 45
+    assert d.stats["hol_block_cycles"] == 1   # 1's wait, charged as it entered
     for now in range(2, 45):
         assert not d.step(now)
-    assert d.stats["hol_block_cycles"] == 2   # 44 cycles slept, not yet charged
     d.step(45)     # 0 done and granted, 1 starts, 2 was blocked all along
-    assert d.stats["hol_block_cycles"] == 1 + 45
+    assert d.stats["hol_block_cycles"] == 1   # nothing until 2 moves
     assert d.next_event(45) == 46
-    d.step(46)
-    assert d.stats["hol_block_cycles"] == 46
+    d.step(46)     # 2 enters: its wait, cycles 1 to 45, is charged now
+    assert d.stats["hol_block_cycles"] == 1 + 45
     assert d.stats["beats"] == 3
 
 

@@ -10,7 +10,7 @@ from lmbsim.engine import (NullImage, Router, Simulator, SystemConfig,
                            report_to_json, simulate, verify_output)
 from lmbsim.errors import ConfigurationError, DeadlockError, VerificationError
 from lmbsim.fabric import FabricConfig, RequestTrace, run_functional
-from lmbsim.memsys import CacheConfig, Lmb, LmbConfig, MshrConfig
+from lmbsim.memsys import CacheConfig, DmaConfig, Lmb, LmbConfig, MshrConfig
 from lmbsim.queues import INF, TimedFifo
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, gen_synthetic,
                            mttkrp_oracle)
@@ -218,9 +218,13 @@ class StubDram:
         self.to_router = TimedFifo()
 
 
+def _stub_handler(token, now):
+    pass
+
+
 class StubBeat:
     lmb = 1
-    origin = "dma"
+    handler = staticmethod(_stub_handler)
     token = 0
 
 
@@ -266,7 +270,7 @@ def test_router_wake_is_the_earliest_input_head():
     dram.to_router.push(6, StubBeat())
     assert router.wake == 6        # a push onto an empty input lowers it
     assert router.step(6)
-    assert blocks[1].in_resp.pop(7) == ("dma", 0)
+    assert blocks[1].in_resp.pop(7) == (_stub_handler, 0)
     assert router.wake == 9
     assert router.step(9)
     assert router.wake == INF      # every input is empty
@@ -384,7 +388,7 @@ def test_fetch_slot_and_open_split_counts_equal_a_recount(mode, depth, slots,
         assert fetch.used == (waiters if fetch.per_request
                               else len(fetch.lines))
         assert fetch.used <= fetch.capacity
-        if lmb._head_waits:
+        if lmb._wait_from is not None:
             # the pipe head skips its slot test until a fill: it would fail
             _, waiter, line = lmb._pipe[0][1]
             cost = 1 if fetch.per_request else int(line not in fetch.lines)
@@ -408,6 +412,50 @@ def test_fetch_slot_and_open_split_counts_equal_a_recount(mode, depth, slots,
     lmb = LmbConfig(mode=mode,
                     cache=CacheConfig(num_lines=lines, pipeline_depth=depth,
                                       miss_slots=slots),
+                    mshr=MshrConfig(entries=slots))
+    Lmb.step = checked_step
+    try:
+        _small_run(mode, lmb=lmb, **case)
+    finally:
+        Lmb.step = step
+    assert steps[0] > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(MODES),
+       dims=st.tuples(*(st.integers(min_value=1, max_value=8),) * 3),
+       nnz=st.integers(min_value=0, max_value=60),
+       seed=st.integers(min_value=0, max_value=1000),
+       fabric_type=st.sampled_from(["type1", "type2"]),
+       pe_count=st.integers(min_value=1, max_value=8),
+       max_outstanding=st.integers(min_value=1, max_value=4),
+       rank=st.sampled_from([2, 8, 32]),
+       num_lmbs=st.integers(min_value=1, max_value=4),
+       depth=st.integers(min_value=1, max_value=4),
+       slots=st.integers(min_value=1, max_value=4),
+       buffers=st.integers(min_value=1, max_value=2),
+       desc_slots=st.integers(min_value=1, max_value=2))
+def test_a_step_that_moved_nothing_leaves_no_beat_and_no_dma_backlog(
+        mode, depth, slots, buffers, desc_slots, **case):
+    # the rule that lets _idle_wake skip the arbiter sources and the DMA
+    # backlog in every mode
+    steps = [0]
+    step = Lmb.step
+
+    def checked_step(lmb, now):
+        awake = now >= lmb.wake
+        moved = step(lmb, now)
+        steps[0] += 1
+        if awake and not moved:
+            assert not (lmb._cache_src or lmb._dma_src or lmb._wr_src
+                        or lmb._ip_src)
+            assert not lmb.dma.backlog()
+        return moved
+
+    lmb = LmbConfig(mode=mode,
+                    cache=CacheConfig(pipeline_depth=depth, miss_slots=slots),
+                    dma=DmaConfig(buffers=buffers, buffer_bytes=64,
+                                  desc_slots=desc_slots),
                     mshr=MshrConfig(entries=slots))
     Lmb.step = checked_step
     try:

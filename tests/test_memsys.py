@@ -201,7 +201,7 @@ def test_first_piece_enters_the_pipe_where_it_is_cut(fill):
     lmb.accept(make_req(ReqKind.ELEM, 0, 16), 4)             # cut at cycle 5
     if fill:
         lmb.fetch_slots.try_add(7, "w")
-        lmb.in_resp.push(5, ("cache", 7))
+        lmb.in_resp.push(5, (lmb._fill, 7))
         lmb._finish_read = lambda waiter, now, line: None
     assert _miss_cycles(lmb, 8) == ([6] if fill else [5])
     assert lmb._open_splits == 1 and not lmb._intake
@@ -238,8 +238,10 @@ def make_req(kind, addr, nbytes, pe=0, tag=0):
 def drain_beats(dma, limit=100):
     beats = []
     for _ in range(limit):
-        if not dma.step_beats(0, lambda a, rw, tok, u: beats.append((a, rw, tok, u))):
+        beat = dma.step_beats(0)
+        if beat is None:
             break
+        beats.append(beat)
     return beats
 
 
@@ -292,11 +294,8 @@ def test_dma_completion_fires_after_all_beats_respond():
     dma.enqueue(req)
     dma.step_grant(0)
     beats = drain_beats(dma)
-    done = []
-    dma.on_response(beats[0][2], done.append)
-    assert done == []
-    dma.on_response(beats[1][2], done.append)
-    assert done == [req]
+    assert dma.on_response(beats[0][2]) is None
+    assert dma.on_response(beats[1][2]) is req
     assert not dma.backlog()
 
 

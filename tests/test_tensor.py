@@ -278,6 +278,23 @@ def test_cp_als_rejects_negative_iters():
         cp_als(t, rank=2, max_iters=-1)
 
 
+@pytest.mark.parametrize("vals", [[], [0.0, 0.0]])
+def test_cp_als_rejects_an_all_zero_tensor_before_its_first_iteration(vals):
+    coords = [(0, 1, 2), (2, 0, 1)][:len(vals)]
+    t = make_tensor((3, 3, 3), coords, vals)
+    calls = []
+
+    def kernel(tensor, d, c):
+        calls.append(1)
+        return mttkrp_oracle(tensor, d, c)
+
+    with pytest.raises(DataError, match="all-zero tensor"):
+        cp_als(t, rank=2, max_iters=3, mttkrp=kernel)
+    assert calls == []
+    res = cp_als(t, rank=2, max_iters=0, seed=7)   # the seeded factors
+    assert res.iterations == 0 and res.a.rows == 3
+
+
 def test_factor_matrix_validation():
     with pytest.raises(ConfigurationError):
         FactorMatrix(2, 2, np.zeros((3, 2), dtype=np.float32))
