@@ -339,6 +339,8 @@ _SWEEP_ORDER = ("proposed", "dma-only", "cache-only", "ip-only")
 
 
 def cmd_sweep(args):
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     settings = _resolve(args, extra=_flag_overrides(args))
     built = cfgmod.build(settings)
     for mode in built.sweep_modes:
@@ -351,8 +353,9 @@ def cmd_sweep(args):
     label_parts = _sweep_label_parts(args.preset)
     tasks = [(settings, rank, mode, label_parts)
              for rank in built.sweep_ranks for mode in built.sweep_modes]
-    if args.jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_sweep_worker, tasks)
     else:
         results = [_sweep_worker(t) for t in tasks]

@@ -75,9 +75,13 @@ class Dram:
         self.queue_depth = cfg.queue_depth
         self.t_row_hit = cfg.t_row_hit
         self.t_row_miss = cfg.t_row_miss
+        self._addr_mask = (1 << cfg.address_bits) - 1
+        self._num_banks = cfg.num_banks
+        # beats in one row of every bank: a row index steps once per span
+        self._row_span = cfg.num_banks * (cfg.row_bytes // BEAT_BYTES)
         self.banks = [_Bank() for _ in range(cfg.num_banks)]
         self.ingress = TimedFifo(self)  # beats from the router
-        self.to_router = TimedFifo()    # completions toward the LMBs
+        self.to_router = TimedFifo()    # completions, or a Router's return hop
         self.wake = INF        # step is a no-op before this cycle
         self._bus_rr = 0
         self._busy = []        # heap of (service end, bank index)
@@ -93,10 +97,8 @@ class Dram:
         }
 
     def _locate(self, addr):
-        a = addr & ((1 << self.cfg.address_bits) - 1)
-        line = a // BEAT_BYTES
-        lines_per_row = self.cfg.row_bytes // BEAT_BYTES
-        return line % self.cfg.num_banks, (line // self.cfg.num_banks) // lines_per_row
+        line = (addr & self._addr_mask) // BEAT_BYTES
+        return line % self._num_banks, line // self._row_span
 
     def step(self, now):
         if now < self.wake:

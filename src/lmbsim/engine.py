@@ -5,7 +5,8 @@ Timing contract (every number below is load-bearing and tested):
   * Every hop between components is a timestamped wire with a 1-cycle delay:
     PE -> block intake, reductor stage 1 -> stage 2, stage 2 -> cache lookup,
     cache outcome -> fetch arbiter, arbiter -> router, router -> DRAM,
-    DRAM bus -> router, router -> block, block -> PE (read data).
+    block -> PE (read data); DRAM bus -> router -> block takes two cycles
+    on one wire (the router's return half is a pure delay).
     Write acknowledgements toward the fabric are same-cycle credit pulses.
   * The cache lookup pipeline accepts one access per cycle; its outcome is
     visible pipeline_depth - 1 cycles after acceptance.  Fills bypass the
@@ -45,9 +46,9 @@ read in the middle of a wait leaves that wait out.  The fabric side steps
 only the armed workloads: the indices, in index order, of those whose
 want_step is set.  A workload leaves the list when a step clears want_step
 and a delivery (which sets it) puts it back; index order matters, because
-machines feed the block wires in that order.  Only an iteration that moved
-nothing asks whether the run is done; if it is not, the engine jumps to the
-earliest wake or other pending event.
+machines feed the block wires in that order.  An iteration that moved nothing
+jumps to the earliest wake or armed workload's event; only when nothing is
+pending does it ask whether the run is done (if not, it is a deadlock).
 """
 
 from __future__ import annotations
@@ -89,44 +90,58 @@ class SystemConfig:
             raise ConfigurationError("need at least one memory block")
 
 
+class _ReturnHop:
+    """The router's return half as the DRAM's output wire.  With no
+    arbitration, no capacity limit and one bus grant per cycle it is a pure
+    one-cycle delay: a beat pushed for cycle t is on its block's in_resp for
+    t + 1.  It holds nothing, so it is always empty."""
+
+    __slots__ = ("wires", "stats")
+
+    def __init__(self, wires, stats):
+        self.wires = wires
+        self.stats = stats
+
+    def push(self, ready, beat):
+        self.wires[beat.lmb].push(ready + 1, beat)
+        self.stats["returned"] += 1
+
+    def __len__(self):
+        return 0
+
+
 class Router:
     """One beat per cycle toward DRAM (round-robin over blocks); the return
-    path fans completions back out to their block, one hop each way."""
+    half fans completions back out to their block, one hop each way."""
 
     def __init__(self, lmbs, dram):
-        self.lmbs = lmbs
         self.dram = dram
         self._rr = 0
-        self._inputs = [lmb.to_router for lmb in lmbs] + [dram.to_router]
+        self._inputs = [lmb.to_router for lmb in lmbs]
         for wire in self._inputs:
             wire.owner = self
         self.wake = 0  # the wires may already hold beats
         self.stats = {"forwarded": 0, "returned": 0}
+        dram.to_router = _ReturnHop([lmb.in_resp for lmb in lmbs], self.stats)
 
     def step(self, now):
         if now < self.wake:
             return False
         moved = False
-        lmbs = self.lmbs
-        n = len(lmbs)
+        inputs = self._inputs
+        n = len(inputs)
         for off in range(n):
-            wire = lmbs[(self._rr + off) % n].to_router
+            wire = inputs[(self._rr + off) % n]
             if wire and wire[0][0] <= now:
                 self._rr = (self._rr + off + 1) % n
                 self.dram.ingress.push(now + 1, wire.popleft()[1])
                 self.stats["forwarded"] += 1
                 moved = True
                 break
-        back = self.dram.to_router
-        while back and back[0][0] <= now:
-            beat = back.popleft()[1]
-            lmbs[beat.lmb].in_resp.push(now + 1, (beat.handler, beat.token))
-            self.stats["returned"] += 1
-            moved = True
         # the earliest input head, or the next cycle when one is already
         # ready (a block not picked this cycle)
         wake = INF
-        for wire in self._inputs:
+        for wire in inputs:
             if wire:
                 ready = wire[0][0]
                 if ready < wake:
@@ -297,8 +312,9 @@ class Simulator:
         nxt = min(nxt, self.router.next_event(now), self.wake)
         for lmb in self.lmbs:
             nxt = min(nxt, lmb.next_event(now))
-        for w in self.workloads:
-            nxt = min(nxt, w.next_event(now))
+        workloads = self.workloads
+        for w_i in self._armed:
+            nxt = min(nxt, workloads[w_i].next_event(now))
         return nxt
 
     def _dump_state(self, now):
@@ -327,11 +343,11 @@ class Simulator:
                 last_progress = now
                 now += 1
             else:
-                # a run can only end on an iteration that moved nothing
-                if self._done():
-                    break
+                # a run ends where nothing moved and nothing is pending
                 nxt = self._next_event(now)
                 if nxt == INF:
+                    if self._done():
+                        break
                     raise DeadlockError(
                         "no pending events but work remains",
                         dump=self._dump_state(now))
@@ -403,11 +419,15 @@ def verify_output(got: FactorMatrix, want: FactorMatrix, rel_tol=1e-4):
             f"output shape {got.values.shape} != reference {want.values.shape}")
     a = got.values.astype(np.float64)
     b = want.values.astype(np.float64)
-    err = np.abs(a - b)
-    bound = rel_tol * (1.0 + np.abs(b))
-    bad = err > bound
-    if bad.any():
-        i, r = np.unravel_index(int(np.argmax(err - bound)), a.shape)
+    with np.errstate(invalid="ignore"):
+        # a NaN or infinite error is never within the bound; equal values
+        # (infinities too) and NaN against NaN match
+        excess = np.nan_to_num(np.abs(a - b) - rel_tol * (1.0 + np.abs(b)),
+                               nan=np.inf)
+    ok = (excess <= 0) | (a == b) | (np.isnan(a) & np.isnan(b))
+    if not ok.all():
+        i, r = np.unravel_index(int(np.argmax(np.where(ok, -np.inf, excess))),
+                                a.shape)
         raise VerificationError(
             f"output mismatch at row {i} col {r}: got {a[i, r]!r}, "
             f"reference {b[i, r]!r} (rel tol {rel_tol})")

@@ -6,9 +6,10 @@ flight); the cache lookup pipe (a fixed-depth in-order deque in the block, one
 intake and one outcome per cycle, over the tag-only CacheArray, whose misses
 take _FetchSlots and whose write pieces go out write-through, no-allocate);
 the DmaEngine (per-PE descriptor queues, round-robin beat issue, staging
-credits); split_beats, which cuts a request into 64-byte beats for the DMA
-engine and the raw port alike; and the port arbiter, one beat per cycle
-toward the router, round-robin over the mode's beat sources.
+credits); the beat cursor, a DMA descriptor's or raw port's next beat
+address and beats left, which cuts each 64-byte beat as it issues; and the
+port arbiter, one beat per cycle toward the router, round-robin over the
+mode's beat sources.
 
 The mode picks, once, when the block is built, the wire each request kind
 enters on, the request-side step, what a returned line completes and the
@@ -36,7 +37,8 @@ arbiter's sources:
               intake looks at.
 
 Every beat carries the block's handler for its answer and that handler's
-token, so an answer is applied with no dispatch on where its beat came from.
+token, and comes back itself on in_resp, so an answer is applied with no
+dispatch on where its beat came from.
 
 A step that moved nothing finds its next wake on the same wires in every mode
 (a wire the mode never feeds is empty): in_resp, in_cache, in_dma and
@@ -191,19 +193,6 @@ class LmbConfig:
                 f"unknown memory mode {self.mode!r}, expected one of {MODES}")
 
 
-class _Port:
-    """ip-only: one PE's raw port and the request it is working on."""
-
-    __slots__ = ("pe", "wire", "req", "beats", "waiting")
-
-    def __init__(self, pe, wire):
-        self.pe = pe
-        self.wire = wire      # requests queued behind the current one
-        self.req = None
-        self.beats = None     # beats of req not yet issued
-        self.waiting = False  # a beat of req is out, awaiting its answer
-
-
 class Beat:
     """One 64-byte transfer on the memory side."""
 
@@ -226,11 +215,43 @@ def _line_of(addr):
     return addr // BEAT_BYTES
 
 
-def split_beats(addr, nbytes):
-    """(beat address, useful bytes) for each 64-byte beat a request covers."""
-    end = addr + nbytes
-    return [(beat, min(end, beat + BEAT_BYTES) - max(addr, beat))
-            for beat in range(addr - addr % BEAT_BYTES, end, BEAT_BYTES)]
+class _Cursor:
+    """A request's 64-byte beats, cut one at a time as each issues (a DMA
+    descriptor, and the base of a raw port).  `addr` is the next beat's
+    address, `left` the beats not yet issued and `unanswered` those not yet
+    answered; beat b of [start, end) has min(end, b + 64) - max(start, b)
+    useful bytes."""
+
+    __slots__ = ("req", "rw", "start", "end", "addr", "left", "unanswered")
+
+    def load(self, req):
+        self.req = req
+        self.rw = "w" if req.kind == ReqKind.WRITE else "r"
+        self.start = start = req.addr
+        self.end = end = start + req.nbytes
+        self.addr = addr = start - start % BEAT_BYTES
+        self.left = self.unanswered = -((addr - end) // BEAT_BYTES)
+        return self
+
+    def beat(self, lmb, handler):
+        """The next beat, with this cursor as its handler's token."""
+        addr = self.addr
+        self.addr = addr + BEAT_BYTES
+        self.left -= 1
+        return Beat(lmb, handler, self, self.rw, addr,
+                    min(self.end, addr + BEAT_BYTES) - max(self.start, addr))
+
+
+class _Port(_Cursor):
+    """ip-only: one PE's raw port, a cursor over the request it works on."""
+
+    __slots__ = ("pe", "wire", "waiting")
+
+    def __init__(self, pe, wire):
+        self.pe = pe
+        self.wire = wire      # requests queued behind the current one
+        self.req = None
+        self.waiting = False  # a beat of req is out, awaiting its answer
 
 
 class TempBuffer:
@@ -295,22 +316,14 @@ class RrshTable:
 class CacheArray:
     """Tag-only LRU array; payload content always comes from the image.
 
-    The block's lookup pipe reads `sets` directly, as `lookup` does.
+    A set lists its lines MRU last; the block's lookup pipe reads and
+    refreshes the sets in place.
     """
 
     def __init__(self, cfg: CacheConfig):
         self.cfg = cfg
         self.num_sets = cfg.num_sets
         self.sets = [[] for _ in range(cfg.num_sets)]  # MRU last
-
-    def lookup(self, line):
-        """True on a hit, which makes the line most recently used."""
-        s = self.sets[line % self.num_sets]
-        if line in s:
-            s.remove(line)
-            s.append(line)
-            return True
-        return False
 
     def insert(self, line):
         """Fill a line (a hit only refreshes it); returns the evicted line."""
@@ -359,25 +372,28 @@ class DmaEngine:
     """Descriptor-based bulk mover with shared staging credits.
 
     Per-PE descriptor queues; one grant per cycle into a free descriptor slot;
-    one beat issued per cycle round-robin over active descriptors.  A
-    descriptor slot is an address-generation context: it frees once the last
-    beat has issued, while response reassembly is tracked separately.  Each
-    issued beat holds one staging credit until the block port drains it, so
-    the credits bound how far the engine runs ahead of the port, not the DRAM
-    round trip.
+    one beat issued per cycle round-robin over active descriptors, staged on
+    `src`.  A descriptor slot is an address-generation context: it frees once
+    the last beat has issued, while the descriptor counts its answers.  Each
+    issued beat holds one staging credit until the block's port arbiter takes
+    it off `src`, so the credits bound how far the engine runs ahead of the
+    port, not the DRAM round trip.  The block steps it only while `queued` or
+    `descs` is non-zero.
     """
 
-    def __init__(self, cfg: DmaConfig, stats):
+    def __init__(self, cfg: DmaConfig, stats, lmb_id, done):
         self.cfg = cfg
+        self.lmb_id = lmb_id
+        self.done = done   # the block's handler for a DMA beat's answer
         self.queues = {}   # pe -> waiting requests
         self._pes = []     # the keys of queues, sorted
-        self._queued = 0   # requests in all queues
-        self.descs = []    # slot-holding, in id order: (id, req, beats to issue)
-        self.pending = {}  # desc id -> [req, beats not yet answered]
+        self.queued = 0    # requests in all queues
+        self.descs = []    # slot-holding cursors, each with a beat left
+        self.open = 0      # descriptors granted and not fully answered
+        self.src = deque()  # staged beats toward the port arbiter
         self.credits = cfg.beat_credits
         self._grant_rr = 0
         self._beat_rr = 0
-        self._next_desc = 0
         self.stats = stats
         stats.update(descs=0, beats=0, grant_stall_cycles=0,
                      credit_stall_cycles=0)
@@ -388,63 +404,45 @@ class DmaEngine:
             q = self.queues[req.pe] = deque()
             insort(self._pes, req.pe)
         q.append(req)
-        self._queued += 1
+        self.queued += 1
 
-    def backlog(self):
-        return self._queued > 0 or bool(self.descs)
-
-    def credit_return(self):
-        self.credits += 1
-
-    def on_response(self, desc_id):
-        """The request whose last beat this answers, else None."""
-        rec = self.pending[desc_id]
-        rec[1] -= 1
-        if rec[1] == 0:
-            del self.pending[desc_id]
-            return rec[0]
-        return None
-
-    def step_grant(self, now):
-        if not self._queued:
-            return False
-        if len(self.descs) >= self.cfg.desc_slots:
-            self.stats["grant_stall_cycles"] += 1
-            return False
-        pes = self._pes
-        for off in range(len(pes)):
-            pe = pes[(self._grant_rr + off) % len(pes)]
-            q = self.queues[pe]
-            if q:
-                req = q.popleft()
-                self._queued -= 1
-                self._grant_rr = (self._grant_rr + off + 1) % len(pes)
-                beats = deque(split_beats(req.addr, req.nbytes))
-                self.descs.append((self._next_desc, req, beats))
-                self.pending[self._next_desc] = [req, len(beats)]
-                self._next_desc += 1
-                self.stats["descs"] += 1
-                return True
-        return False
-
-    def step_beats(self, now):
-        """(addr, rw, desc id, useful bytes) of the beat issued, else None."""
-        if not self.descs:
-            return None
+    def step(self, now):
+        """Grant a queued request a slot, then stage one beat; True if either
+        happened."""
+        moved = False
+        descs = self.descs
+        if self.queued:
+            if len(descs) >= self.cfg.desc_slots:
+                self.stats["grant_stall_cycles"] += 1
+            else:
+                pes = self._pes
+                n = len(pes)
+                rr = self._grant_rr
+                for off in range(n):
+                    q = self.queues[pes[(rr + off) % n]]
+                    if q:
+                        self.queued -= 1
+                        self._grant_rr = (rr + off + 1) % n
+                        descs.append(_Cursor().load(q.popleft()))
+                        self.open += 1
+                        self.stats["descs"] += 1
+                        moved = True
+                        break
+        if not descs:
+            return moved
         if self.credits <= 0:
             self.stats["credit_stall_cycles"] += 1
-            return None
-        # every listed descriptor has a beat left: it leaves with its last
-        count = len(self.descs)
+            return moved
+        count = len(descs)
         idx = self._beat_rr % count
-        desc_id, req, beats = self.descs[idx]
-        addr, useful = beats.popleft()
+        desc = descs[idx]
         self.credits -= 1
         self.stats["beats"] += 1
         self._beat_rr = (self._beat_rr + 1) % count
-        if not beats:
-            del self.descs[idx]
-        return addr, "w" if req.kind == ReqKind.WRITE else "r", desc_id, useful
+        self.src.append((now + 1, desc.beat(self.lmb_id, self.done)))
+        if not desc.left:
+            del descs[idx]
+        return True
 
 
 class Lmb:
@@ -484,13 +482,13 @@ class Lmb:
         self.fetch_slots = _FetchSlots(cap, per_req)
         self.tempbuf = TempBuffer(cfg.tempbuf)
         self.rrsh = RrshTable(cfg.rrsh)
-        self.dma = DmaEngine(cfg.dma, self.stats)
+        self.dma = DmaEngine(cfg.dma, self.stats, lmb_id, self._dma_done)
         # stage wires inside the block: plain deques of (ready, item),
         # appended and read in place (see queues.py)
         self._stage2 = deque()     # reductor stage 1 -> stage 2
         self._intake = deque()     # stage 2 / splitter -> lookup pipe
         self._cache_src = deque()  # fetch beats toward the arbiter
-        self._dma_src = deque()
+        self._dma_src = self.dma.src
         self._wr_src = deque()
         self._ip_src = deque()
         self._open_splits = 0        # cache-only: split requests not answered
@@ -570,10 +568,11 @@ class Lmb:
         for waiter in self.fetch_slots.complete(line):
             self._finish_read(waiter, now, line)
 
-    def _dma_done(self, desc_id, now):
-        req = self.dma.on_response(desc_id)
-        if req is not None:
-            self._respond(req, now)
+    def _dma_done(self, desc, now):
+        desc.unanswered -= 1
+        if not desc.unanswered:
+            self.dma.open -= 1
+            self._respond(desc.req, now)
 
     def _finish_elem_line(self, waiter, now, line):
         if waiter == "rrsh":
@@ -596,7 +595,8 @@ class Lmb:
 
     def _ip_beat_done(self, port, now):
         port.waiting = False
-        if port.beats:
+        port.unanswered -= 1
+        if port.unanswered:
             self._ip_issuable += 1
         else:
             self._respond(port.req, now)
@@ -644,7 +644,8 @@ class Lmb:
                 self.stats["rrsh_stall_cycles"] += 1
         if self._intake or self._pipe:
             moved |= self._step_lookup(now)
-        if self.in_dma or self.dma.backlog():
+        dma = self.dma
+        if self.in_dma or dma.queued or dma.descs:
             moved |= self._step_dma(now)
         return moved
 
@@ -669,7 +670,7 @@ class Lmb:
     def _step_lookup(self, now):
         """Lookup pipe: one intake and one outcome per cycle.
 
-        The head's cache set is read in place, as CacheArray.lookup reads it.
+        The head's cache set is read in place; a hit makes its line MRU.
         Only the head takes miss slots and only a fill frees one or changes
         the sets, so a head that found no slot finds none until a fill comes:
         until then it waits untested, and the fill charges its stall.
@@ -718,18 +719,14 @@ class Lmb:
 
     def _step_dma(self, now):
         moved = False
+        dma = self.dma
         wire = self.in_dma
         while wire and wire[0][0] <= now:
-            self.dma.enqueue(wire.popleft()[1])
+            dma.enqueue(wire.popleft()[1])
             moved = True
-        moved |= self.dma.step_grant(now)
-        beat = self.dma.step_beats(now)
-        if beat is None:
-            return moved
-        addr, rw, desc_id, useful = beat
-        self._dma_src.append((now + 1, Beat(self.lmb_id, self._dma_done,
-                                            desc_id, rw, addr, useful)))
-        return True
+        if dma.queued or dma.descs:
+            moved |= dma.step(now)
+        return moved
 
     def _step_ip(self, now):
         moved = False
@@ -741,8 +738,7 @@ class Lmb:
                 if wire[0][0] > now:
                     not_ready.append(port)
                 else:
-                    req = port.req = wire.popleft()[1]
-                    port.beats = deque(split_beats(req.addr, req.nbytes))
+                    port.load(wire.popleft()[1])
                     self._ip_issuable += 1
                     moved = True
             self._ip_takers = not_ready
@@ -757,14 +753,11 @@ class Lmb:
             idx = (self._ip_rr + off) % n
             port = ports[idx]
             if port.req is not None and not port.waiting:
-                rw = "w" if port.req.kind == ReqKind.WRITE else "r"
-                beat_addr, useful = port.beats.popleft()
                 port.waiting = True
                 self._ip_issuable -= 1
                 self._ip_rr = (idx + 1) % n
-                self._ip_src.append((now + 1, Beat(self.lmb_id,
-                                                   self._ip_beat_done, port,
-                                                   rw, beat_addr, useful)))
+                self._ip_src.append(
+                    (now + 1, port.beat(self.lmb_id, self._ip_beat_done)))
                 return True
         raise ProtocolError("ip-only issuable count found no port to issue")
 
@@ -776,8 +769,8 @@ class Lmb:
         moved = False
         wire = self.in_resp
         while wire and wire[0][0] <= now:
-            handler, token = wire.popleft()[1]
-            handler(token, now)
+            beat = wire.popleft()[1]
+            beat.handler(beat.token, now)
             moved = True
         moved |= self._step_requests(now)
         # port arbiter: one beat per cycle toward the router
@@ -789,7 +782,7 @@ class Lmb:
                 beat = src.popleft()[1]
                 self._arb_rr = (self._arb_rr + off + 1) % n
                 if src is self._dma_src:
-                    self.dma.credit_return()
+                    self.dma.credits += 1
                 self.to_router.push(now + 1, beat)
                 moved = True
                 break
@@ -830,8 +823,7 @@ class Lmb:
                 and not self._wr_src and not self._ip_src
                 and not self.to_router and not self.to_fabric
                 and not self._open_splits and not self.fetch_slots.lines
-                and not self.dma.descs and not self.dma.pending
-                and not self.dma.backlog()
+                and not self.dma.queued and not self.dma.open
                 and all(port.req is None and not port.wire
                         for port in self._ports)
                 and self.rrsh.pending == 0)

@@ -9,8 +9,7 @@ A wire is a deque of (ready, item) pairs.  Hot loops read one in place,
     while wire and wire[0][0] <= now:
         item = wire.popleft()[1]
 
-which costs no Python call per item and none for the final empty test;
-`pop(now)` is the same read as a method, for tests and cold paths.
+which costs no Python call per item and none for the final empty test.
 
 A wire that crosses components is a TimedFifo and may have an owner: the
 component that consumes it, or the Simulator for the wires toward the
@@ -51,9 +50,3 @@ class TimedFifo(deque):
         elif self.owner is not None and ready < self.owner.wake:
             self.owner.wake = ready
         self.append((ready, item))
-
-    def pop(self, now):
-        """Item at the head if it is ready by `now`, else None."""
-        if self and self[0][0] <= now:
-            return self.popleft()[1]
-        return None

@@ -74,6 +74,9 @@ def load_text(path) -> CooTensor:
         if min(i, j, k) < 1:
             raise DataError(f"line {lineno}: coordinates are 1-indexed, "
                             f"got ({i}, {j}, {k})")
+        if max(i, j, k) >= 1 << 32:
+            raise DataError(f"line {lineno}: coordinate exceeds u32 "
+                            f"coordinate range, got ({i}, {j}, {k})")
         ii.append(i - 1)
         jj.append(j - 1)
         kk.append(k - 1)

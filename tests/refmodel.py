@@ -5,6 +5,14 @@ with the cache under test, so the two can disagree when one of them is wrong.
 """
 
 
+def pop_ready(wire, now):
+    """The item at a timed wire's head if it is ready by `now`, else None:
+    the read the simulator makes in place (see queues.py)."""
+    if wire and wire[0][0] <= now:
+        return wire.popleft()[1]
+    return None
+
+
 class SetAssocLruRef:
     """Set-associative LRU over line numbers, modulo-indexed."""
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from lmbsim import cli
 from lmbsim import config as cfgmod
 from lmbsim.cli import main
 from lmbsim.errors import ConfigurationError
@@ -255,6 +256,15 @@ def test_cli_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "neither a binary tensor nor UTF-8 text" in err
         assert "Traceback" not in err
+    # a coordinate past the u32 range
+    big = tmp_path / "big.tns"
+    big.write_text("99999999999 1 1 1.0\n")
+    for command in ("run", "sweep", "cpd"):
+        assert main([command, "--tensor", str(big)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1: coordinate exceeds u32 coordinate range" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
     assert main(["cpd", "--iters", "-1"]) == 2
     err = capsys.readouterr().err
     assert "max_iters" in err and "Traceback" not in err
@@ -279,6 +289,40 @@ def test_cli_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_sweep_jobs_capped_at_the_task_count(monkeypatch, capsys):
+    asked = []
+
+    class FakePool:
+        """Records the worker count asked for and maps in process."""
+
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", FakePool)
+    argv = ["sweep", "--set", "tensor.dims=8 8 8", "--set", "tensor.nnz=30",
+            "--set", "sweep.ranks=2", "--set", "sweep.modes=proposed ip-only"]
+    assert main(argv + ["--jobs", "8"]) == 0   # two tasks: two workers
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert main(argv + ["--jobs", "1"]) == 0   # in process, no pool
+    assert asked == [2, 2]
+    capsys.readouterr()
+    for jobs in ("0", "-3"):
+        assert main(argv + ["--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert f"--jobs must be at least 1, got {jobs}" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert asked == [2, 2]
 
 
 def test_cli_sweep_csv(tmp_path):

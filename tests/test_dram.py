@@ -10,6 +10,8 @@ from lmbsim.errors import ConfigurationError
 from lmbsim.memsys import Beat
 from lmbsim.queues import INF
 
+from refmodel import pop_ready
+
 
 def beat(addr, token=0, useful=64):
     return Beat(lmb=0, handler=None, token=token, rw="r", addr=addr,
@@ -22,7 +24,7 @@ def drain(dram, horizon=200000):
     for now in range(horizon):
         dram.step(now)
         while True:
-            item = dram.to_router.pop(now)
+            item = pop_ready(dram.to_router, now)
             if item is None:
                 break
             out.append((now, item))

@@ -15,6 +15,8 @@ from lmbsim.queues import INF, TimedFifo
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, gen_synthetic,
                            mttkrp_oracle)
 
+from refmodel import pop_ready
+
 MODES = ("proposed", "cache-only", "dma-only", "ip-only")
 
 
@@ -146,6 +148,27 @@ def test_verify_output_shape_mismatch():
         verify_output(a, b)
 
 
+@pytest.mark.parametrize("got,want,ok", [
+    (np.nan, 1.0, False),           # NaN against a finite reference
+    (1.0, np.nan, False),
+    (np.inf, 1.0, False),
+    (1.0, np.inf, False),           # an infinite error, an infinite bound
+    (-np.inf, np.inf, False),
+    (np.inf, np.inf, True),         # equal infinities
+    (np.nan, np.nan, True),         # NaN input values give NaN on both sides
+    (1.0 + 1e-6, 1.0, True),
+])
+def test_verify_output_non_finite_values(got, want, ok):
+    a = FactorMatrix(2, 2, np.ones((2, 2), dtype=np.float32))
+    b = FactorMatrix(2, 2, np.ones((2, 2), dtype=np.float32))
+    a.values[1, 0], b.values[1, 0] = got, want
+    if ok:
+        verify_output(a, b)
+    else:
+        with pytest.raises(VerificationError, match="row 1 col 0"):
+            verify_output(a, b)
+
+
 def test_rank_mismatch_rejected():
     t, d, c = random_case((8, 8, 8), 60, 2, seed=1)
     with pytest.raises(ConfigurationError):
@@ -218,14 +241,8 @@ class StubDram:
         self.to_router = TimedFifo()
 
 
-def _stub_handler(token, now):
-    pass
-
-
 class StubBeat:
     lmb = 1
-    handler = staticmethod(_stub_handler)
-    token = 0
 
 
 def test_router_serves_every_block_within_port_count_cycles():
@@ -240,7 +257,7 @@ def test_router_serves_every_block_within_port_count_cycles():
     grants = {b: [] for b in range(4)}
     for now in range(200):
         router.step(now)
-        beat = dram.ingress.pop(now + 1)
+        beat = pop_ready(dram.ingress, now + 1)
         if beat is not None:
             grants[beat[0]].append(now)
     assert sum(len(g) for g in grants.values()) == 78
@@ -267,11 +284,15 @@ def test_router_wake_is_the_earliest_input_head():
     assert router.step(4)
     assert router.wake == 9        # block 1's next beat
     assert not router.step(5)      # asleep: a no-op
-    dram.to_router.push(6, StubBeat())
-    assert router.wake == 6        # a push onto an empty input lowers it
-    assert router.step(6)
-    assert blocks[1].in_resp.pop(7) == (_stub_handler, 0)
+    # the return half is one hop on its own: a beat the DRAM pushes for
+    # cycle 6 lands on its block's in_resp for cycle 7, with no router step
+    beat = StubBeat()
+    dram.to_router.push(6, beat)
+    assert not dram.to_router
     assert router.wake == 9
+    assert pop_ready(blocks[1].in_resp, 6) is None
+    assert pop_ready(blocks[1].in_resp, 7) is beat
+    assert router.stats["returned"] == 1
     assert router.step(9)
     assert router.wake == INF      # every input is empty
 
@@ -287,9 +308,9 @@ def test_done_is_checked_only_on_iterations_that_moved_nothing(monkeypatch):
         monkeypatch.setattr(Simulator, name, counting)
     t, d, c = random_case((8, 8, 8), 30, 4, seed=3)
     simulate(t, d, c, system(rank=4))
-    # every idle iteration asks for the next event except the last, which ends
-    # the run
-    assert calls["_done"] == calls["_next_event"] + 1
+    # every idle iteration asks for the next event; only the last, which
+    # finds nothing pending, asks whether the run is done
+    assert calls["_done"] == 1
     assert 0 < calls["_next_event"] < calls["_fabric_step"]
 
 
@@ -449,7 +470,7 @@ def test_a_step_that_moved_nothing_leaves_no_beat_and_no_dma_backlog(
         if awake and not moved:
             assert not (lmb._cache_src or lmb._dma_src or lmb._wr_src
                         or lmb._ip_src)
-            assert not lmb.dma.backlog()
+            assert not (lmb.dma.queued or lmb.dma.descs)
         return moved
 
     lmb = LmbConfig(mode=mode,
@@ -460,6 +481,39 @@ def test_a_step_that_moved_nothing_leaves_no_beat_and_no_dma_backlog(
     Lmb.step = checked_step
     try:
         _small_run(mode, lmb=lmb, **case)
+    finally:
+        Lmb.step = step
+    assert steps[0] > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(["proposed", "dma-only"]),
+       dims=st.tuples(*(st.integers(min_value=1, max_value=8),) * 3),
+       nnz=st.integers(min_value=0, max_value=60),
+       seed=st.integers(min_value=0, max_value=1000),
+       fabric_type=st.sampled_from(["type1", "type2"]),
+       pe_count=st.integers(min_value=1, max_value=8),
+       max_outstanding=st.integers(min_value=1, max_value=4),
+       rank=st.sampled_from([2, 8, 32]),
+       num_lmbs=st.integers(min_value=1, max_value=4),
+       credits=st.integers(min_value=1, max_value=2),
+       desc_slots=st.integers(min_value=1, max_value=2))
+def test_dma_credits_plus_staged_beats_equal_beat_credits(
+        mode, credits, desc_slots, **case):
+    # a beat holds its staging credit from issue until the arbiter takes it
+    dma = DmaConfig(buffers=credits, buffer_bytes=64, desc_slots=desc_slots)
+    steps = [0]
+    step = Lmb.step
+
+    def checked_step(lmb, now):
+        moved = step(lmb, now)
+        steps[0] += 1
+        assert lmb.dma.credits + len(lmb._dma_src) == dma.beat_credits
+        return moved
+
+    Lmb.step = checked_step
+    try:
+        _small_run(mode, lmb=LmbConfig(mode=mode, dma=dma), **case)
     finally:
         Lmb.step = step
     assert steps[0] > 0

@@ -5,13 +5,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmbsim.engine import NullImage
 from lmbsim.errors import ConfigurationError
 from lmbsim.fabric import MemoryRequest, ReqKind
-from lmbsim.memsys import (CacheArray, CacheConfig, DmaConfig, DmaEngine, Lmb,
-                           LmbConfig, MshrConfig, RrshConfig, RrshTable,
+from lmbsim.memsys import (Beat, CacheArray, CacheConfig, DmaConfig, DmaEngine,
+                           Lmb, LmbConfig, MshrConfig, RrshConfig, RrshTable,
                            TempBuffer, TempBufferConfig, xor_hash, _FetchSlots)
 
-from refmodel import SetAssocLruRef
+from refmodel import SetAssocLruRef, pop_ready
 
 
 # --- xor fold hash ------------------------------------------------------------
@@ -120,9 +121,10 @@ def test_cache_array_matches_reference(lines):
     cache = CacheArray(CacheConfig(num_lines=16, assoc=2))
     ref = SetAssocLruRef(num_lines=16, assoc=2)
     for line in lines:
-        hit = cache.lookup(line)
-        if not hit:
-            cache.insert(line)
+        # a lookup, then a fill on a miss; a fill of a hit line only
+        # refreshes it, as a hit does
+        hit = line in cache.sets[line % cache.num_sets]
+        cache.insert(line)
         assert hit == ref.access(line)
 
 
@@ -130,7 +132,7 @@ def test_cache_insert_reports_lru_victim():
     cache = CacheArray(CacheConfig(num_lines=16, assoc=2))  # 8 sets
     assert cache.insert(0) is None
     assert cache.insert(8) is None   # same set as 0
-    cache.lookup(0)                  # 0 becomes MRU
+    assert cache.insert(0) is None   # a hit: 0 becomes MRU
     assert cache.insert(16) == 8
 
 
@@ -201,7 +203,7 @@ def test_first_piece_enters_the_pipe_where_it_is_cut(fill):
     lmb.accept(make_req(ReqKind.ELEM, 0, 16), 4)             # cut at cycle 5
     if fill:
         lmb.fetch_slots.try_add(7, "w")
-        lmb.in_resp.push(5, (lmb._fill, 7))
+        lmb.in_resp.push(5, Beat(0, lmb._fill, 7, "r", 7 * 64, 16))
         lmb._finish_read = lambda waiter, now, line: None
     assert _miss_cycles(lmb, 8) == ([6] if fill else [5])
     assert lmb._open_splits == 1 and not lmb._intake
@@ -235,85 +237,135 @@ def make_req(kind, addr, nbytes, pe=0, tag=0):
     return MemoryRequest(kind, addr, nbytes, pe, tag, ("drow", 0))
 
 
+def make_dma(cfg=None, stats=None):
+    return DmaEngine(cfg or DmaConfig(), {} if stats is None else stats, 0,
+                     None)
+
+
 def drain_beats(dma, limit=100):
-    beats = []
+    """Step the engine until a step stages nothing; the beats it staged."""
     for _ in range(limit):
-        beat = dma.step_beats(0)
-        if beat is None:
+        if not dma.step(0):
             break
-        beats.append(beat)
+    return [beat for _, beat in dma.src]
+
+
+def split_beats(addr, nbytes):
+    """The list form the beat cursor replaced, kept as its reference:
+    (beat address, useful bytes) for each 64-byte beat a request covers."""
+    end = addr + nbytes
+    return [(b, min(end, b + 64) - max(addr, b))
+            for b in range(addr - addr % 64, end, 64)]
+
+
+def ip_port_beats(req):
+    """The beats an ip-only port issues for one request, each answered as
+    soon as it reaches the router wire."""
+    lmb = Lmb(0, LmbConfig(mode="ip-only"), NullImage())
+    lmb.accept(req, -1)
+    beats = []
+    for now in range(4 * (req.nbytes // 64 + 2)):
+        lmb.step(now)
+        beat = pop_ready(lmb.to_router, now + 1)
+        if beat is not None:
+            beats.append(beat)
+            lmb.in_resp.push(now + 1, beat)
+    assert lmb.stats["responses"] == 1 and lmb._ports[0].req is None
     return beats
+
+
+@settings(max_examples=60, deadline=None)
+@given(addr=st.integers(min_value=0, max_value=1 << 20),
+       nbytes=st.integers(min_value=1, max_value=600),
+       kind=st.sampled_from([ReqKind.ROW_D, ReqKind.WRITE]))
+def test_dma_and_ip_beats_equal_the_list_form(addr, nbytes, kind):
+    want = split_beats(addr, nbytes)
+    rw = "w" if kind == ReqKind.WRITE else "r"
+    dma = make_dma()
+    dma.enqueue(make_req(kind, addr, nbytes))
+    ip_beats = ip_port_beats(make_req(kind, addr, nbytes))
+    for beats in (drain_beats(dma), ip_beats):
+        assert [(b.addr, b.useful) for b in beats] == want
+        assert all(b.rw == rw for b in beats)
 
 
 @pytest.mark.parametrize("nbytes", range(4, 257, 4))
 def test_dma_beats_cover_aligned_request(nbytes):
-    dma = DmaEngine(DmaConfig(), {})
+    dma = make_dma()
     dma.enqueue(make_req(ReqKind.ROW_D, 0, nbytes))
-    assert dma.step_grant(0)
     beats = drain_beats(dma)
+    assert dma.stats["descs"] == 1
     assert len(beats) == math.ceil(nbytes / 64)
-    assert sum(u for _, _, _, u in beats) == nbytes
+    assert sum(b.useful for b in beats) == nbytes
 
 
 def test_dma_unaligned_request_spans_extra_line():
-    dma = DmaEngine(DmaConfig(), {})
+    dma = make_dma()
     dma.enqueue(make_req(ReqKind.ROW_C, 60, 8))
-    dma.step_grant(0)
     beats = drain_beats(dma)
-    assert [(a, u) for a, _, _, u in beats] == [(0, 4), (64, 4)]
+    assert [(b.addr, b.useful) for b in beats] == [(0, 4), (64, 4)]
 
 
 def test_dma_desc_slot_frees_at_last_beat_issue():
     stats = {}
-    dma = DmaEngine(DmaConfig(desc_slots=1), stats)
+    dma = make_dma(DmaConfig(desc_slots=1), stats)
     dma.enqueue(make_req(ReqKind.ROW_D, 0, 128, tag=1))
     dma.enqueue(make_req(ReqKind.ROW_D, 256, 64, tag=2))
-    assert dma.step_grant(0)
-    assert not dma.step_grant(0)  # slot occupied
-    assert stats["grant_stall_cycles"] == 1
-    drain_beats(dma)
+    assert dma.step(0)            # grant the first request, stage its beat 0
+    assert dma.step(0)            # slot occupied: stage beat 1 only
+    assert stats["grant_stall_cycles"] == 1 and stats["descs"] == 1
     # responses have not returned, but address generation finished
-    assert dma.step_grant(0)
+    assert dma.step(0)
     assert stats["descs"] == 2
+    assert [b.addr for _, b in dma.src] == [0, 64, 256]
 
 
 def test_dma_credits_throttle_and_return():
-    stats = {}
-    dma = DmaEngine(DmaConfig(buffers=1, buffer_bytes=64), stats)
-    dma.enqueue(make_req(ReqKind.ROW_D, 0, 128))
-    dma.step_grant(0)
-    assert len(drain_beats(dma)) == 1
-    assert stats["credit_stall_cycles"] == 1
-    dma.credit_return()
-    assert len(drain_beats(dma)) == 1
+    # one credit: beat 1 waits until the arbiter takes beat 0 off the
+    # staging wire, which returns its credit
+    lmb = Lmb(0, LmbConfig(mode="dma-only",
+                           dma=DmaConfig(buffers=1, buffer_bytes=64)),
+              NullImage())
+    lmb.accept(make_req(ReqKind.ROW_D, 0, 128), -1)
+    for now in range(6):
+        lmb.step(now)
+        assert lmb.dma.credits + len(lmb._dma_src) == 1
+    assert [(ready, beat.addr) for ready, beat in lmb.to_router] == \
+        [(2, 0), (4, 64)]
+    assert lmb.stats["credit_stall_cycles"] == 1
 
 
 def test_dma_completion_fires_after_all_beats_respond():
-    dma = DmaEngine(DmaConfig(), {})
-    req = make_req(ReqKind.ROW_D, 0, 128)
-    dma.enqueue(req)
-    dma.step_grant(0)
-    beats = drain_beats(dma)
-    assert dma.on_response(beats[0][2]) is None
-    assert dma.on_response(beats[1][2]) is req
-    assert not dma.backlog()
+    lmb = Lmb(0, LmbConfig(mode="dma-only"), NullImage())
+    req = make_req(ReqKind.ROW_D, 0, 128, tag=5)
+    lmb.accept(req, -1)
+    for now in range(4):
+        lmb.step(now)
+    first, second = [beat for _, beat in lmb.to_router]
+    lmb.in_resp.push(10, second)
+    lmb.step(10)
+    assert not lmb.to_fabric and lmb.dma.open == 1
+    lmb.in_resp.push(11, first)
+    lmb.step(11)
+    assert pop_ready(lmb.to_fabric, 12) == (5, None)
+    assert lmb.dma.open == 0
 
 
 def test_dma_write_beats_marked_write():
-    dma = DmaEngine(DmaConfig(), {})
+    dma = make_dma()
     dma.enqueue(make_req(ReqKind.WRITE, 0, 128))
-    dma.step_grant(0)
     beats = drain_beats(dma)
-    assert all(rw == "w" for _, rw, _, _ in beats)
+    assert len(beats) == 2 and all(b.rw == "w" for b in beats)
 
 
 def test_dma_round_robin_interleaves_descriptors():
-    dma = DmaEngine(DmaConfig(), {})
-    dma.enqueue(make_req(ReqKind.ROW_D, 0, 128, pe=0))
-    dma.enqueue(make_req(ReqKind.ROW_D, 1024, 128, pe=1))
-    assert dma.step_grant(0) and dma.step_grant(0)
-    addrs = [a for a, _, _, _ in drain_beats(dma)]
-    assert addrs == [0, 1024, 64, 1088]
+    # a grant and a beat per step: the second descriptor joins the rotation
+    # one step after the first
+    dma = make_dma()
+    dma.enqueue(make_req(ReqKind.ROW_D, 0, 192, pe=0))
+    dma.enqueue(make_req(ReqKind.ROW_D, 1024, 192, pe=1))
+    addrs = [b.addr for b in drain_beats(dma)]
+    assert addrs == [0, 64, 1024, 128, 1088, 1152]
 
 
 def test_dma_config_validation():

@@ -1,7 +1,10 @@
 """The experiment scripts under scripts/, run in process on small inputs."""
 
 import importlib.util
+import json
 import os
+
+import pytest
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
 
@@ -48,3 +51,47 @@ def test_coalescing_demo_smoke(capsys):
     # conventional cache
     assert rows["proposed"][3] == 50
     assert rows["proposed"][0] < rows["cache-only"][0]
+
+
+def test_bench_pairs_summary_on_fixed_samples():
+    pairs = _load("bench_pairs")
+    metrics = [{"name": "dma-only_s", "unit": "s", "better": "lower"},
+               {"name": "sim_speedup", "unit": "x", "better": "higher"}]
+    parent = {"dma-only_s": [1.0, 2.0, 3.0, 4.0, 5.0],
+              "sim_speedup": [2.0, 2.0, 2.0, 2.0, 2.0]}
+    change = {"dma-only_s": [0.5, 2.0, 3.5, 3.0, 4.0],
+              "sim_speedup": [2.0, 2.0, 2.5, 1.5, 2.0]}
+    time_row, speedup_row = pairs.summarize(metrics, parent, change)
+    assert time_row["parent"] == (2.0, 3.0, 4.0)
+    assert time_row["change"] == (2.0, 3.0, 3.5)
+    assert time_row["ratio"] == 1.0 and time_row["parent_iqr"] == 2.0
+    # lower is better: pairs 1, 4 and 5 won, pair 2 tied, pair 3 lost
+    assert (time_row["wins"], time_row["pairs"]) == (3, 5)
+    # higher is better: one win, one loss, three ties
+    assert speedup_row["wins"] == 1 and speedup_row["ratio"] == 1.0
+    assert pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+    lines = pairs.format_rows([time_row, speedup_row])
+    assert lines[1].split()[0] == "dma-only_s"
+    assert lines[1].split()[-1] == "3/5"
+
+
+def test_bench_pairs_refuses_a_run_that_is_not_correct(monkeypatch):
+    pairs = _load("bench_pairs")
+    last = {"correct": True, "failed": 0,
+            "metrics": {"wall_s": {"value": 1.5}}}
+
+    class Done:
+        returncode = 0
+        stderr = ""
+
+        @property
+        def stdout(self):
+            return "# header\n" + json.dumps(last) + "\n"
+
+    monkeypatch.setattr(pairs.subprocess, "run", lambda *a, **k: Done())
+    assert pairs.run_once(".", "grid-clustered", 0, 1) == {"wall_s": 1.5}
+    for bad in ({"correct": False, "failed": 0},
+                {"correct": True, "failed": 2}):
+        last.update(bad)
+        with pytest.raises(SystemExit, match="not correct"):
+            pairs.run_once(".", "grid-clustered", 0, 1)

@@ -83,6 +83,22 @@ def test_text_zero_index_rejected(tmp_path):
         load_text(p)
 
 
+@pytest.mark.parametrize("line", ["4294967296 1 1 1.0", "1 99999999999 1 1.0",
+                                  "1 1 4294967296 1.0"])
+def test_text_coordinate_past_u32_rejected(tmp_path, line):
+    p = tmp_path / "t.tns"
+    p.write_text("1 1 1 1.0\n" + line + "\n")
+    with pytest.raises(DataError, match="line 2: coordinate exceeds u32"):
+        load_text(p)
+
+
+def test_text_largest_u32_coordinate_loads(tmp_path):
+    p = tmp_path / "t.tns"
+    p.write_text("4294967295 1 1 1.0\n")
+    t = load_text(p)
+    assert t.dims == (4294967295, 1, 1) and int(t.i[0]) == 4294967294
+
+
 def test_text_bad_field_count(tmp_path):
     p = tmp_path / "t.tns"
     p.write_text("1 1 1\n")
