@@ -12,10 +12,8 @@ import math
 import sys
 
 from lmbsim import config as cfgmod
-from lmbsim.cli import run_mode
+from lmbsim.cli import SWEEP_ORDER, run_mode
 from lmbsim.engine import REFERENCE_SPEEDUP
-
-MODES = ("proposed", "dma-only", "cache-only", "ip-only")
 
 
 def run_one(table, workload, mode, quick):
@@ -43,12 +41,13 @@ def main(argv=None):
               f"{'bus eff':>8s}")
     print(header)
     print("-" * len(header))
-    speedups = {m: [] for m in MODES}
+    speedups = {m: [] for m in SWEEP_ORDER}
     for table in args.tables:
         for workload in args.workloads:
-            rows = {m: run_one(table, workload, m, args.quick) for m in MODES}
+            rows = {m: run_one(table, workload, m, args.quick)
+                    for m in SWEEP_ORDER}
             base = rows["ip-only"]["total_cycles"]
-            for mode in MODES:
+            for mode in SWEEP_ORDER:
                 rep = rows[mode]
                 cycles = rep["total_cycles"]
                 bus = rep["bus"]
@@ -61,7 +60,7 @@ def main(argv=None):
             print()
     print("geometric-mean speedup over all runs "
           "(published numbers are the same aggregate):")
-    for mode in MODES:
+    for mode in SWEEP_ORDER:
         gmean = math.exp(sum(math.log(s) for s in speedups[mode])
                          / len(speedups[mode]))
         print(f"  {mode:12s} {gmean:8.2f}   published {REFERENCE_SPEEDUP[mode]:.2f}")

@@ -238,8 +238,8 @@ def cmd_run(args):
     d, c = _factors(tensor, built.system.fabric.rank, built.seed)
     trace = RequestTrace() if built.trace_path else None
     _, report = simulate(tensor, d, c, built.system, verify=built.verify,
-                         trace=trace, corrupt_output=built.corrupt_output,
-                         effective_config=flat, workload_name=name)
+                         trace=trace, effective_config=flat,
+                         workload_name=name)
     if trace is not None:
         with open(built.trace_path, "w", encoding="utf-8") as fh:
             trace.dump(fh)
@@ -335,7 +335,7 @@ def _write_plot_script(script_path, csv_path):
 
 
 # cycles must fall strictly in this order for the ordering column to PASS
-_SWEEP_ORDER = ("proposed", "dma-only", "cache-only", "ip-only")
+SWEEP_ORDER = ("proposed", "dma-only", "cache-only", "ip-only")
 
 
 def cmd_sweep(args):
@@ -371,9 +371,9 @@ def cmd_sweep(args):
             row["cycles"]
     for row in results:
         cyc = groups[(row["label"], row["rank"])]
-        if all(m in cyc for m in _SWEEP_ORDER):
+        if all(m in cyc for m in SWEEP_ORDER):
             ordered = all(cyc[a] < cyc[b]
-                          for a, b in zip(_SWEEP_ORDER, _SWEEP_ORDER[1:]))
+                          for a, b in zip(SWEEP_ORDER, SWEEP_ORDER[1:]))
             row["ordering"] = "PASS" if ordered else "FAIL"
         else:
             row["ordering"] = ""

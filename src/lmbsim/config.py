@@ -81,9 +81,6 @@ DEFAULTS = {
         "format": "json",
         "trace": "",
     },
-    "debug": {
-        "corrupt_output": "false",
-    },
 }
 
 # Named setting bundles.  System presets and workload presets compose; a
@@ -274,7 +271,6 @@ class BuiltConfig:
     """Fully typed view of one resolved settings tree."""
 
     system: SystemConfig
-    mode: str
     verify: bool
     seed: int
     tensor_file: str
@@ -283,11 +279,9 @@ class BuiltConfig:
     sweep_modes: tuple
     out_format: str
     trace_path: str
-    corrupt_output: bool
 
 
 def build(settings) -> BuiltConfig:
-    mode = settings["run"]["mode"].strip()
     fabric = FabricConfig(
         fabric_type=settings["fabric"]["type"].strip(),
         pe_count=_as_int(settings, "fabric", "pe_count"),
@@ -296,7 +290,7 @@ def build(settings) -> BuiltConfig:
         rank=_as_int(settings, "fabric", "rank"),
     )
     lmb = LmbConfig(
-        mode=mode,
+        mode=settings["run"]["mode"].strip(),
         cache=CacheConfig(
             num_lines=_as_int(settings, "cache", "lines"),
             assoc=_as_int(settings, "cache", "assoc"),
@@ -338,7 +332,6 @@ def build(settings) -> BuiltConfig:
         raise ConfigurationError(f"output.format must be json or csv, got {out_format!r}")
     return BuiltConfig(
         system=system,
-        mode=mode,
         verify=_as_bool(settings, "run", "verify"),
         seed=_as_seed(settings, "run", "seed"),
         tensor_file=settings["tensor"]["file"].strip(),
@@ -347,7 +340,6 @@ def build(settings) -> BuiltConfig:
         sweep_modes=_as_str_list(settings, "sweep", "modes"),
         out_format=out_format,
         trace_path=settings["output"]["trace"].strip(),
-        corrupt_output=_as_bool(settings, "debug", "corrupt_output"),
     )
 
 

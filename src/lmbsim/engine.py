@@ -69,6 +69,7 @@ from .queues import INF
 from .tensor import FactorMatrix, mttkrp_oracle
 
 _NO_PROGRESS_LIMIT = 1_000_000
+_REL_TOL = 1e-4  # verify_output's bound on |got - ref| / (1 + |ref|)
 
 REFERENCE_SPEEDUP = {
     "ip-only": 1.0,
@@ -229,7 +230,6 @@ class Simulator:
     def __init__(self, syscfg: SystemConfig, image, workloads,
                  trace: RequestTrace | None = None, route_by_pe=True):
         self.cfg = syscfg
-        self.image = image
         self.workloads = workloads
         self.trace = trace
         self.route_by_pe = route_by_pe
@@ -413,7 +413,7 @@ class Simulator:
         return report
 
 
-def verify_output(got: FactorMatrix, want: FactorMatrix, rel_tol=1e-4):
+def verify_output(got: FactorMatrix, want: FactorMatrix):
     if got.values.shape != want.values.shape:
         raise VerificationError(
             f"output shape {got.values.shape} != reference {want.values.shape}")
@@ -422,7 +422,7 @@ def verify_output(got: FactorMatrix, want: FactorMatrix, rel_tol=1e-4):
     with np.errstate(invalid="ignore"):
         # a NaN or infinite error is never within the bound; equal values
         # (infinities too) and NaN against NaN match
-        excess = np.nan_to_num(np.abs(a - b) - rel_tol * (1.0 + np.abs(b)),
+        excess = np.nan_to_num(np.abs(a - b) - _REL_TOL * (1.0 + np.abs(b)),
                                nan=np.inf)
     ok = (excess <= 0) | (a == b) | (np.isnan(a) & np.isnan(b))
     if not ok.all():
@@ -430,12 +430,12 @@ def verify_output(got: FactorMatrix, want: FactorMatrix, rel_tol=1e-4):
                                 a.shape)
         raise VerificationError(
             f"output mismatch at row {i} col {r}: got {a[i, r]!r}, "
-            f"reference {b[i, r]!r} (rel tol {rel_tol})")
+            f"reference {b[i, r]!r} (rel tol {_REL_TOL})")
 
 
 def simulate(tensor, d, c, syscfg: SystemConfig, verify=False,
-             trace: RequestTrace | None = None, corrupt_output=False,
-             effective_config=None, workload_name=""):
+             trace: RequestTrace | None = None, effective_config=None,
+             workload_name=""):
     """Run one timed simulation; returns (output FactorMatrix, report dict)."""
     if syscfg.fabric.rank != d.rank or syscfg.fabric.rank != c.rank:
         raise ConfigurationError("fabric rank differs from factor rank")
@@ -450,8 +450,6 @@ def simulate(tensor, d, c, syscfg: SystemConfig, verify=False,
     sim = Simulator(syscfg, image, machines, trace=trace)
     sim.run()
     out = image.result(syscfg.fabric.rank)
-    if corrupt_output and out.values.size:
-        out.values[0, 0] += 1.0
     if verify:
         verify_output(out, mttkrp_oracle(tensor, d, c))
     extra = {

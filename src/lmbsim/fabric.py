@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dram import BEAT_BYTES
 from .errors import ConfigurationError, ProtocolError
 from .queues import INF
 from .tensor import ELEMENT_BYTES, VALUE_BYTES, CooTensor, FactorMatrix
@@ -84,13 +85,13 @@ class AddressMap:
     end: int
 
     @classmethod
-    def build(cls, nnz, dims, rank, align=64):
+    def build(cls, nnz, dims, rank):
         row_bytes = rank * VALUE_BYTES
         tensor_base = 0
-        d_base = _align_up(tensor_base + nnz * ELEMENT_BYTES, align)
-        c_base = _align_up(d_base + dims[1] * row_bytes, align)
-        out_base = _align_up(c_base + dims[2] * row_bytes, align)
-        end = _align_up(out_base + dims[0] * row_bytes, align)
+        d_base = _align_up(tensor_base + nnz * ELEMENT_BYTES, BEAT_BYTES)
+        c_base = _align_up(d_base + dims[1] * row_bytes, BEAT_BYTES)
+        out_base = _align_up(c_base + dims[2] * row_bytes, BEAT_BYTES)
+        end = _align_up(out_base + dims[0] * row_bytes, BEAT_BYTES)
         if end >= 1 << ADDRESS_LIMIT_BITS:
             raise ConfigurationError(
                 f"address space {end} bytes exceeds {ADDRESS_LIMIT_BITS}-bit limit")
@@ -183,7 +184,7 @@ class PeMachine:
     the lowest z goes first.
     """
 
-    __slots__ = ("cfg", "lo", "hi", "next_z", "slots", "slot_cap",
+    __slots__ = ("cfg", "hi", "next_z", "slots", "slot_cap",
                  "cur_i", "temp_y", "acc_busy_until", "pending_flush",
                  "inflight", "outstanding", "max_outstanding", "row_wait",
                  "_dispatch", "_write_port", "_fiber_port", "_elem_port",
@@ -195,7 +196,6 @@ class PeMachine:
     def __init__(self, cfg: FabricConfig, lo, hi, amap: AddressMap, ports,
                  tag_base=0):
         self.cfg = cfg
-        self.lo = lo
         self.hi = hi
         self.next_z = lo
         self.slots = deque()
@@ -355,11 +355,8 @@ class PeMachine:
         return issued_any
 
     def next_event(self, now):
-        if self.want_step:
-            return now + 1
-        if now < self.acc_busy_until and (self.slots or self.cur_i is not None):
-            return self.acc_busy_until
-        return INF
+        # a machine with want_step clear acts only after a delivery re-arms it
+        return now + 1 if self.want_step else INF
 
     def idle(self):
         """True once every element is committed, flushed, and acknowledged."""

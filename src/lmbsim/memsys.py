@@ -5,11 +5,11 @@ probe of recent lines, then the RrshTable that parks a request on a line in
 flight); the cache lookup pipe (a fixed-depth in-order deque in the block, one
 intake and one outcome per cycle, over the tag-only CacheArray, whose misses
 take _FetchSlots and whose write pieces go out write-through, no-allocate);
-the DmaEngine (per-PE descriptor queues, round-robin beat issue, staging
-credits); the beat cursor, a DMA descriptor's or raw port's next beat
-address and beats left, which cuts each 64-byte beat as it issues; and the
-port arbiter, one beat per cycle toward the router, round-robin over the
-mode's beat sources.
+the DmaEngine (per-PE descriptor queues it fills from in_dma itself,
+round-robin beat issue, staging credits); the beat cursor, a DMA descriptor's
+or raw port's next beat address and beats left, which cuts each 64-byte beat
+as it issues; and the port arbiter, one beat per cycle toward the router,
+round-robin over the mode's beat sources.
 
 The mode picks, once, when the block is built, the wire each request kind
 enters on, the request-side step, what a returned line completes and the
@@ -25,7 +25,8 @@ arbiter's sources:
               secondary alike), and the pipe stalls when slots run out.
               Arbiter: fetches, writes.
   dma-only    everything: in_dma -> DMA engine, elements included, so each
-              16-byte element costs a full 64-byte beat.
+              16-byte element costs a full 64-byte beat.  The DMA engine
+              drains in_dma, so its step is the block's request step.
   ip-only     raw port: a wire per PE, one request per PE at a time, whose
               beats issue one by one, each after the previous round trip.
               The ports are records in a list sorted by PE.  A count of the
@@ -67,6 +68,7 @@ from .dram import BEAT_BYTES
 from .errors import ConfigurationError, ProtocolError
 from .fabric import ReqKind
 from .queues import INF, TimedFifo
+from .tensor import ELEMENT_BYTES
 
 MODES = ("proposed", "cache-only", "dma-only", "ip-only")
 
@@ -93,13 +95,10 @@ def xor_hash(value, buckets):
 class CacheConfig:
     num_lines: int = 8192
     assoc: int = 2
-    line_bytes: int = 64
     pipeline_depth: int = 3
     miss_slots: int = 16
 
     def __post_init__(self):
-        if self.line_bytes != BEAT_BYTES:
-            raise ConfigurationError("only 64-byte cache lines are supported")
         if self.assoc < 1 or self.num_lines % self.assoc:
             raise ConfigurationError(
                 f"{self.num_lines} lines not divisible into {self.assoc} ways")
@@ -196,19 +195,17 @@ class LmbConfig:
 class Beat:
     """One 64-byte transfer on the memory side."""
 
-    __slots__ = ("lmb", "handler", "token", "rw", "addr", "useful")
+    __slots__ = ("lmb", "handler", "token", "addr", "useful")
 
-    def __init__(self, lmb, handler, token, rw, addr, useful):
+    def __init__(self, lmb, handler, token, addr, useful):
         self.lmb = lmb
         self.handler = handler  # handler(token, now) applies the answer
         self.token = token
-        self.rw = rw
         self.addr = addr
         self.useful = useful
 
     def __repr__(self):
-        return (f"Beat({self.rw}, addr={self.addr:#x}, lmb={self.lmb}, "
-                f"token={self.token})")
+        return f"Beat(addr={self.addr:#x}, lmb={self.lmb}, token={self.token})"
 
 
 def _line_of(addr):
@@ -222,11 +219,10 @@ class _Cursor:
     answered; beat b of [start, end) has min(end, b + 64) - max(start, b)
     useful bytes."""
 
-    __slots__ = ("req", "rw", "start", "end", "addr", "left", "unanswered")
+    __slots__ = ("req", "start", "end", "addr", "left", "unanswered")
 
     def load(self, req):
         self.req = req
-        self.rw = "w" if req.kind == ReqKind.WRITE else "r"
         self.start = start = req.addr
         self.end = end = start + req.nbytes
         self.addr = addr = start - start % BEAT_BYTES
@@ -238,7 +234,7 @@ class _Cursor:
         addr = self.addr
         self.addr = addr + BEAT_BYTES
         self.left -= 1
-        return Beat(lmb, handler, self, self.rw, addr,
+        return Beat(lmb, handler, self, addr,
                     min(self.end, addr + BEAT_BYTES) - max(self.start, addr))
 
 
@@ -371,20 +367,22 @@ class _FetchSlots:
 class DmaEngine:
     """Descriptor-based bulk mover with shared staging credits.
 
-    Per-PE descriptor queues; one grant per cycle into a free descriptor slot;
-    one beat issued per cycle round-robin over active descriptors, staged on
-    `src`.  A descriptor slot is an address-generation context: it frees once
-    the last beat has issued, while the descriptor counts its answers.  Each
-    issued beat holds one staging credit until the block's port arbiter takes
-    it off `src`, so the credits bound how far the engine runs ahead of the
-    port, not the DRAM round trip.  The block steps it only while `queued` or
-    `descs` is non-zero.
+    Per-PE descriptor queues, filled from `wire` (the block's in_dma); one
+    grant per cycle into a free descriptor slot; one beat issued per cycle
+    round-robin over active descriptors, staged on `src`.  A descriptor slot
+    is an address-generation context: it frees once the last beat has issued,
+    while the descriptor counts its answers.  Each issued beat holds one
+    staging credit until the block's port arbiter takes it off `src`, so the
+    credits bound how far the engine runs ahead of the port, not the DRAM
+    round trip.  In proposed the block steps it only while `wire`, `queued`
+    or `descs` holds something; in dma-only it is the request step.
     """
 
-    def __init__(self, cfg: DmaConfig, stats, lmb_id, done):
+    def __init__(self, cfg: DmaConfig, stats, lmb_id, done, wire):
         self.cfg = cfg
         self.lmb_id = lmb_id
         self.done = done   # the block's handler for a DMA beat's answer
+        self.wire = wire   # requests toward the queues
         self.queues = {}   # pe -> waiting requests
         self._pes = []     # the keys of queues, sorted
         self.queued = 0    # requests in all queues
@@ -398,18 +396,20 @@ class DmaEngine:
         stats.update(descs=0, beats=0, grant_stall_cycles=0,
                      credit_stall_cycles=0)
 
-    def enqueue(self, req):
-        q = self.queues.get(req.pe)
-        if q is None:
-            q = self.queues[req.pe] = deque()
-            insort(self._pes, req.pe)
-        q.append(req)
-        self.queued += 1
-
     def step(self, now):
-        """Grant a queued request a slot, then stage one beat; True if either
-        happened."""
+        """Queue the requests due on the wire, grant a queued request a slot,
+        then stage one beat; True if any of these happened."""
         moved = False
+        wire = self.wire
+        while wire and wire[0][0] <= now:
+            req = wire.popleft()[1]
+            q = self.queues.get(req.pe)
+            if q is None:
+                q = self.queues[req.pe] = deque()
+                insort(self._pes, req.pe)
+            q.append(req)
+            self.queued += 1
+            moved = True
         descs = self.descs
         if self.queued:
             if len(descs) >= self.cfg.desc_slots:
@@ -482,7 +482,8 @@ class Lmb:
         self.fetch_slots = _FetchSlots(cap, per_req)
         self.tempbuf = TempBuffer(cfg.tempbuf)
         self.rrsh = RrshTable(cfg.rrsh)
-        self.dma = DmaEngine(cfg.dma, self.stats, lmb_id, self._dma_done)
+        self.dma = DmaEngine(cfg.dma, self.stats, lmb_id, self._dma_done,
+                             self.in_dma)
         # stage wires inside the block: plain deques of (ready, item),
         # appended and read in place (see queues.py)
         self._stage2 = deque()     # reductor stage 1 -> stage 2
@@ -506,29 +507,26 @@ class Lmb:
                          (self._cache_src, self._dma_src)),
             "cache-only": (self._step_cache_only, self._piece_done,
                            (self._cache_src, self._wr_src)),
-            "dma-only": (self._step_dma, None, (self._dma_src,)),
+            "dma-only": (self.dma.step, None, (self._dma_src,)),
             "ip-only": (self._step_ip, None, (self._ip_src,)),
         }[mode]
         # the wires _idle_wake reads, the same in every mode
         self._wake_wires = (self.in_resp, self.in_cache, self.in_dma,
                             self._stage2)
-        # the wire every request enters on, where one wire takes them all
-        self._only_wire = {"cache-only": self.in_cache,
-                           "dma-only": self.in_dma}.get(mode)
-        self._wire_of = self._ip_wire if mode == "ip-only" else self._kind_wire
+        # the wire each request kind enters on, indexed by ReqKind; ip-only
+        # has a wire per PE instead
+        cache, dma = self.in_cache, self.in_dma
+        self._entry = {"proposed": (cache, dma, dma, dma),
+                       "cache-only": (cache, cache, cache, cache),
+                       "dma-only": (dma, dma, dma, dma)}.get(mode)
 
     # -- request intake from the fabric ---------------------------------
 
     def accept(self, req, now):
         self.stats["requests"] += 1
-        wire = self._only_wire
-        if wire is None:
-            wire = self._wire_of(req)
+        entry = self._entry
+        wire = self._ip_wire(req) if entry is None else entry[req.kind]
         wire.push(now + 1, req)
-
-    def _kind_wire(self, req):
-        """proposed: element reads to the reductor, the rest to the DMA."""
-        return self.in_cache if req.kind == ReqKind.ELEM else self.in_dma
 
     def _ip_wire(self, req):
         port = self._port_of.get(req.pe)
@@ -646,7 +644,7 @@ class Lmb:
             moved |= self._step_lookup(now)
         dma = self.dma
         if self.in_dma or dma.queued or dma.descs:
-            moved |= self._step_dma(now)
+            moved |= dma.step(now)
         return moved
 
     def _step_cache_only(self, now):
@@ -695,7 +693,7 @@ class Lmb:
             pipe.popleft()
             self.stats["write_beats"] += 1
             self._wr_src.append((now + 1, Beat(self.lmb_id, self._piece_done,
-                                               waiter, "w", line * BEAT_BYTES,
+                                               waiter, line * BEAT_BYTES,
                                                BEAT_BYTES)))
             return True
         if hit:
@@ -710,23 +708,12 @@ class Lmb:
         pipe.popleft()
         self.stats["cache_misses"] += 1
         if new_fetch:
-            # an element line serves 16 bytes per waiting request
-            useful = 16 if kind is ReqKind.ELEM else BEAT_BYTES
+            # an element line serves one element per waiting request
+            useful = ELEMENT_BYTES if kind is ReqKind.ELEM else BEAT_BYTES
             self._cache_src.append((now + 1, Beat(self.lmb_id, self._fill,
-                                                  line, "r", line * BEAT_BYTES,
+                                                  line, line * BEAT_BYTES,
                                                   useful)))
         return True
-
-    def _step_dma(self, now):
-        moved = False
-        dma = self.dma
-        wire = self.in_dma
-        while wire and wire[0][0] <= now:
-            dma.enqueue(wire.popleft()[1])
-            moved = True
-        if dma.queued or dma.descs:
-            moved |= dma.step(now)
-        return moved
 
     def _step_ip(self, now):
         moved = False

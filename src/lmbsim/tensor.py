@@ -81,12 +81,10 @@ class CooTensor:
     def nnz(self):
         return len(self.vals)
 
-    def mode_sorted(self, mode=0):
-        """True when elements are sorted ascending by (i, j, k) starting at `mode`."""
+    def mode_sorted(self):
+        """True when elements are sorted ascending by (i, j, k)."""
         if self.nnz <= 1:
             return True
-        if mode != 0:
-            raise ConfigurationError("only mode-0 sort order is tracked")
         i, j, k = self.i, self.j, self.k
         ok = ((i[1:] > i[:-1])
               | ((i[1:] == i[:-1])
@@ -148,9 +146,6 @@ class FactorMatrix:
     def random(cls, rows, rank, seed):
         rng = np.random.default_rng(seed)
         return cls(rows, rank, rng.random((rows, rank), dtype=np.float32))
-
-    def row(self, r):
-        return self.values[r]
 
 
 @dataclass(frozen=True)

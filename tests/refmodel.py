@@ -13,6 +13,15 @@ def pop_ready(wire, now):
     return None
 
 
+def off_at_origin(tensor, d, c):
+    """The reference MTTKRP with its [0, 0] value one too high: patched in
+    for `lmbsim.engine.mttkrp_oracle`, it makes any verified run mismatch."""
+    from lmbsim.tensor import mttkrp_oracle
+    ref = mttkrp_oracle(tensor, d, c)
+    ref.values[0, 0] += 1.0
+    return ref
+
+
 class SetAssocLruRef:
     """Set-associative LRU over line numbers, modulo-indexed."""
 

@@ -3,14 +3,21 @@
 import configparser
 import io
 import json
+import os
 
 import pytest
 
 from lmbsim import cli
 from lmbsim import config as cfgmod
 from lmbsim.cli import main
+from lmbsim.engine import SystemConfig
 from lmbsim.errors import ConfigurationError
 from lmbsim.tensor_io import MAGIC, load, load_binary
+
+from refmodel import off_at_origin
+
+EXAMPLE_INI = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "example.ini")
 
 
 def settings_to_ini(settings):
@@ -29,7 +36,7 @@ def settings_to_ini(settings):
 
 def test_defaults_build_cleanly():
     built = cfgmod.build(cfgmod.default_settings())
-    assert built.mode == "proposed"
+    assert built.system.lmb.mode == "proposed"
     assert built.system.fabric.rank == 32
     assert built.system.dram.num_banks == 16
     assert built.system.num_lmbs == 1
@@ -124,8 +131,21 @@ def test_baseline_presets_are_single_block():
         s = cfgmod.default_settings()
         cfgmod.apply_preset(s, f"baseline-{mode}")
         built = cfgmod.build(s)
-        assert built.mode == mode
+        assert built.system.lmb.mode == mode
         assert built.system.num_lmbs == 1
+
+
+def test_defaults_are_single_sourced():
+    # the INI defaults build the config classes' own defaults
+    built = cfgmod.build(cfgmod.default_settings())
+    assert built.system == SystemConfig()
+    # and configs/example.ini names exactly the keys of DEFAULTS, with the
+    # same values
+    cp = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    with open(EXAMPLE_INI, encoding="utf-8") as fh:
+        cp.read_file(fh)
+    assert {sec: dict(cp.items(sec)) for sec in cp.sections()} == \
+        cfgmod.DEFAULTS
 
 
 def test_flat_settings_view():
@@ -232,15 +252,17 @@ def test_cli_run_emits_and_replays_trace(tmp_path):
     assert r2["dram"] == r1["dram"]
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["run", "--set", "fabric.nope=1"]) == 2
     assert main(["run", "--preset", "nope"]) == 2
-    rc = main(["run", "--verify", "--rank", "2",
-               "--set", "tensor.dims=8 8 8", "--set", "tensor.nnz=30",
-               "--set", "debug.corrupt_output=true",
-               "--out", str(tmp_path / "r.json")])
+    with monkeypatch.context() as patch:
+        # a reference one too high at [0, 0]: the output cannot match it
+        patch.setattr("lmbsim.engine.mttkrp_oracle", off_at_origin)
+        rc = main(["run", "--verify", "--rank", "2",
+                   "--set", "tensor.dims=8 8 8", "--set", "tensor.nnz=30",
+                   "--out", str(tmp_path / "r.json")])
     assert rc == 3
-    capsys.readouterr()
+    assert "mismatch at row 0 col 0" in capsys.readouterr().err
     # a missing tensor file, or a directory named as one
     for path in (tmp_path / "missing.tns", tmp_path):
         for command in ("run", "sweep", "cpd"):

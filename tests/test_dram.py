@@ -14,8 +14,7 @@ from refmodel import pop_ready
 
 
 def beat(addr, token=0, useful=64):
-    return Beat(lmb=0, handler=None, token=token, rw="r", addr=addr,
-                useful=useful)
+    return Beat(lmb=0, handler=None, token=token, addr=addr, useful=useful)
 
 
 def drain(dram, horizon=200000):

@@ -15,7 +15,7 @@ from lmbsim.queues import INF, TimedFifo
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, gen_synthetic,
                            mttkrp_oracle)
 
-from refmodel import pop_ready
+from refmodel import off_at_origin, pop_ready
 
 MODES = ("proposed", "cache-only", "dma-only", "ip-only")
 
@@ -135,10 +135,11 @@ def test_verify_passes_clean_run():
     simulate(t, d, c, system(rank=2), verify=True)
 
 
-def test_corrupted_output_fails_verification():
+def test_corrupted_output_fails_verification(monkeypatch):
     t, d, c = random_case((8, 8, 8), 60, 2, seed=1)
+    monkeypatch.setattr("lmbsim.engine.mttkrp_oracle", off_at_origin)
     with pytest.raises(VerificationError, match="mismatch at row 0 col 0"):
-        simulate(t, d, c, system(rank=2), verify=True, corrupt_output=True)
+        simulate(t, d, c, system(rank=2), verify=True)
 
 
 def test_verify_output_shape_mismatch():

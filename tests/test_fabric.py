@@ -347,7 +347,7 @@ def test_type1_uses_one_machine_for_all_elements():
     amap = AddressMap.build(t.nnz, t.dims, cfg.rank)
     machines = build_machines(cfg, t, amap)
     assert len(machines) == 1
-    assert (machines[0].lo, machines[0].hi) == (0, t.nnz)
+    assert (machines[0].next_z, machines[0].hi) == (0, t.nnz)
 
 
 def test_type2_machines_cover_all_elements():
@@ -356,7 +356,7 @@ def test_type2_machines_cover_all_elements():
     amap = AddressMap.build(t.nnz, t.dims, cfg.rank)
     machines = build_machines(cfg, t, amap)
     assert len(machines) == 4
-    spans = [(m.lo, m.hi) for m in machines]
+    spans = [(m.next_z, m.hi) for m in machines]
     assert spans[0][0] == 0 and spans[-1][1] == t.nnz
 
 

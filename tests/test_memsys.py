@@ -11,6 +11,7 @@ from lmbsim.fabric import MemoryRequest, ReqKind
 from lmbsim.memsys import (Beat, CacheArray, CacheConfig, DmaConfig, DmaEngine,
                            Lmb, LmbConfig, MshrConfig, RrshConfig, RrshTable,
                            TempBuffer, TempBufferConfig, xor_hash, _FetchSlots)
+from lmbsim.queues import TimedFifo
 
 from refmodel import SetAssocLruRef, pop_ready
 
@@ -138,8 +139,6 @@ def test_cache_insert_reports_lru_victim():
 
 def test_cache_config_validation():
     with pytest.raises(ConfigurationError):
-        CacheConfig(line_bytes=32)
-    with pytest.raises(ConfigurationError):
         CacheConfig(num_lines=9, assoc=2)
     with pytest.raises(ConfigurationError):
         CacheConfig(num_lines=24, assoc=2)  # 12 sets
@@ -203,7 +202,7 @@ def test_first_piece_enters_the_pipe_where_it_is_cut(fill):
     lmb.accept(make_req(ReqKind.ELEM, 0, 16), 4)             # cut at cycle 5
     if fill:
         lmb.fetch_slots.try_add(7, "w")
-        lmb.in_resp.push(5, Beat(0, lmb._fill, 7, "r", 7 * 64, 16))
+        lmb.in_resp.push(5, Beat(0, lmb._fill, 7, 7 * 64, 16))
         lmb._finish_read = lambda waiter, now, line: None
     assert _miss_cycles(lmb, 8) == ([6] if fill else [5])
     assert lmb._open_splits == 1 and not lmb._intake
@@ -239,7 +238,12 @@ def make_req(kind, addr, nbytes, pe=0, tag=0):
 
 def make_dma(cfg=None, stats=None):
     return DmaEngine(cfg or DmaConfig(), {} if stats is None else stats, 0,
-                     None)
+                     None, TimedFifo())
+
+
+def enqueue(dma, req):
+    """Put `req` on the engine's wire, due at cycle 0."""
+    dma.wire.push(0, req)
 
 
 def drain_beats(dma, limit=100):
@@ -280,19 +284,17 @@ def ip_port_beats(req):
        kind=st.sampled_from([ReqKind.ROW_D, ReqKind.WRITE]))
 def test_dma_and_ip_beats_equal_the_list_form(addr, nbytes, kind):
     want = split_beats(addr, nbytes)
-    rw = "w" if kind == ReqKind.WRITE else "r"
     dma = make_dma()
-    dma.enqueue(make_req(kind, addr, nbytes))
+    enqueue(dma, make_req(kind, addr, nbytes))
     ip_beats = ip_port_beats(make_req(kind, addr, nbytes))
     for beats in (drain_beats(dma), ip_beats):
         assert [(b.addr, b.useful) for b in beats] == want
-        assert all(b.rw == rw for b in beats)
 
 
 @pytest.mark.parametrize("nbytes", range(4, 257, 4))
 def test_dma_beats_cover_aligned_request(nbytes):
     dma = make_dma()
-    dma.enqueue(make_req(ReqKind.ROW_D, 0, nbytes))
+    enqueue(dma, make_req(ReqKind.ROW_D, 0, nbytes))
     beats = drain_beats(dma)
     assert dma.stats["descs"] == 1
     assert len(beats) == math.ceil(nbytes / 64)
@@ -301,7 +303,7 @@ def test_dma_beats_cover_aligned_request(nbytes):
 
 def test_dma_unaligned_request_spans_extra_line():
     dma = make_dma()
-    dma.enqueue(make_req(ReqKind.ROW_C, 60, 8))
+    enqueue(dma, make_req(ReqKind.ROW_C, 60, 8))
     beats = drain_beats(dma)
     assert [(b.addr, b.useful) for b in beats] == [(0, 4), (64, 4)]
 
@@ -309,8 +311,8 @@ def test_dma_unaligned_request_spans_extra_line():
 def test_dma_desc_slot_frees_at_last_beat_issue():
     stats = {}
     dma = make_dma(DmaConfig(desc_slots=1), stats)
-    dma.enqueue(make_req(ReqKind.ROW_D, 0, 128, tag=1))
-    dma.enqueue(make_req(ReqKind.ROW_D, 256, 64, tag=2))
+    enqueue(dma, make_req(ReqKind.ROW_D, 0, 128, tag=1))
+    enqueue(dma, make_req(ReqKind.ROW_D, 256, 64, tag=2))
     assert dma.step(0)            # grant the first request, stage its beat 0
     assert dma.step(0)            # slot occupied: stage beat 1 only
     assert stats["grant_stall_cycles"] == 1 and stats["descs"] == 1
@@ -351,19 +353,12 @@ def test_dma_completion_fires_after_all_beats_respond():
     assert lmb.dma.open == 0
 
 
-def test_dma_write_beats_marked_write():
-    dma = make_dma()
-    dma.enqueue(make_req(ReqKind.WRITE, 0, 128))
-    beats = drain_beats(dma)
-    assert len(beats) == 2 and all(b.rw == "w" for b in beats)
-
-
 def test_dma_round_robin_interleaves_descriptors():
     # a grant and a beat per step: the second descriptor joins the rotation
     # one step after the first
     dma = make_dma()
-    dma.enqueue(make_req(ReqKind.ROW_D, 0, 192, pe=0))
-    dma.enqueue(make_req(ReqKind.ROW_D, 1024, 192, pe=1))
+    enqueue(dma, make_req(ReqKind.ROW_D, 0, 192, pe=0))
+    enqueue(dma, make_req(ReqKind.ROW_D, 1024, 192, pe=1))
     addrs = [b.addr for b in drain_beats(dma)]
     assert addrs == [0, 64, 1024, 128, 1088, 1152]
 
