@@ -4,6 +4,8 @@ Deliberately naive: straight-line lookups over Python lists, no shared code
 with the cache under test, so the two can disagree when one of them is wrong.
 """
 
+from lmbsim.tensor import mttkrp_oracle
+
 
 def pop_ready(wire, now):
     """The item at a timed wire's head if it is ready by `now`, else None:
@@ -16,7 +18,6 @@ def pop_ready(wire, now):
 def off_at_origin(tensor, d, c):
     """The reference MTTKRP with its [0, 0] value one too high: patched in
     for `lmbsim.engine.mttkrp_oracle`, it makes any verified run mismatch."""
-    from lmbsim.tensor import mttkrp_oracle
     ref = mttkrp_oracle(tensor, d, c)
     ref.values[0, 0] += 1.0
     return ref
