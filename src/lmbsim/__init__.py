@@ -20,14 +20,14 @@ from .fabric import (AddressMap, FabricConfig, MemoryImage, MemoryRequest,
                      fabric_mttkrp_kernel, partition_nonzeros, run_functional)
 from .memsys import (MODES, CacheConfig, DmaConfig, Lmb, LmbConfig, MshrConfig,
                      RrshConfig, TempBufferConfig, xor_hash)
-from .tensor import (CooElement, CooTensor, CpAlsResult, FactorMatrix, GenSpec,
-                     cp_als, gen_synthetic, mttkrp_mode, mttkrp_oracle)
+from .tensor import (CooTensor, CpAlsResult, FactorMatrix, GenSpec, cp_als,
+                     gen_synthetic, mttkrp_mode, mttkrp_oracle)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AddressMap", "BEAT_BYTES", "CacheConfig", "ConfigurationError",
-    "CooElement", "CooTensor", "CpAlsResult", "DataError", "DeadlockError",
+    "CooTensor", "CpAlsResult", "DataError", "DeadlockError",
     "DmaConfig", "Dram", "DramConfig", "FabricConfig", "FactorMatrix",
     "GenSpec", "Lmb", "LmbConfig", "LmbsimError", "MODES", "MemoryImage",
     "MemoryRequest", "MshrConfig", "NumericalError", "PeMachine",

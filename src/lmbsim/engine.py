@@ -44,11 +44,13 @@ since the head was first found blocked are added when the DRAM head enters
 its bank queue, and at the fill that frees the pipe head's slot.  A count
 read in the middle of a wait leaves that wait out.  The fabric side steps
 only the armed workloads: the indices, in index order, of those whose
-want_step is set.  A workload leaves the list when a step clears want_step
-and a delivery (which sets it) puts it back; index order matters, because
-machines feed the block wires in that order.  An iteration that moved nothing
-jumps to the earliest wake or armed workload's event; only when nothing is
-pending does it ask whether the run is done (if not, it is a deadlock).
+want_step is set.  A workload leaves the list when a step clears want_step,
+and comes back after a delivery only if that delivery set it (a PE machine
+sets it only for a response that lets it act; see fabric.PeMachine).  Index
+order matters, because machines feed the block wires in that order.  An
+iteration that moved nothing jumps to the earliest wake or armed workload's
+event; only when nothing is pending does it ask whether the run is done (if
+not, it is a deadlock).
 """
 
 from __future__ import annotations
@@ -280,9 +282,10 @@ class Simulator:
                         raise ProtocolError(
                             f"response for unknown tag {tag}") from None
                     self._latencies[kind].append(now - issued)
-                    # a delivery sets want_step: re-arm the workload
-                    workloads[w_i].deliver(tag, payload)
-                    if w_i not in armed:
+                    w = workloads[w_i]
+                    w.deliver(tag, payload)
+                    # a delivery may set want_step: then re-arm the workload
+                    if w.want_step and w_i not in armed:
                         insort(armed, w_i)
                     moved = True
                 if wire:

@@ -14,10 +14,12 @@ write.  Two arrangements are modeled:
 
 The same machine logic runs under an instant-responder harness (functional
 results, request traces) and under the cycle engine (timing).  Both therefore
-produce identical numerics: factor rows enter the accumulator as float64,
-converted once when MemoryImage.read serves them; per-row sums start from
-zero, are carried in float64 in element order, and are rounded to float32
-once per flush.
+produce identical numerics: MemoryImage.read serves factor rows as float32
+views, and a commit multiplies the two rows into a per-machine float64
+buffer, which is exact (a float32 by float32 product fits a float64
+significand), then scales it by the value and adds it to the row's sum.  Sums
+start from zero, are carried in float64 in element order, and are rounded to
+float32 once per flush.
 
 Each slot counts its arrivals (the element, then its two rows) and commits
 at three.  Each machine counts the slots whose element is here and that still
@@ -182,10 +184,19 @@ class PeMachine:
     machine asks whether a row load is waiting.  The slot walk that picks
     the row to issue stays, because timed elements arrive out of order and
     the lowest z goes first.
+
+    `want_step` says whether the next step can act without a further
+    response: a port with room has a request to issue, or the complete head
+    or the partition's last flush can commit.  The head cannot while its row
+    differs from the current one and the current row's flush still waits
+    for a full store port, nor can the last flush while another is pending.
+    A busy accumulator does not clear it.  A response sets it only when it
+    frees a slot on a full port, brings an element while the row port has
+    room, or completes the head slot.
     """
 
     __slots__ = ("cfg", "hi", "next_z", "slots", "slot_cap",
-                 "cur_i", "temp_y", "acc_busy_until", "pending_flush",
+                 "cur_i", "temp_y", "_prod", "acc_busy_until", "pending_flush",
                  "inflight", "outstanding", "max_outstanding", "row_wait",
                  "_dispatch", "_write_port", "_fiber_port", "_elem_port",
                  "_row_bytes", "_d_base", "_c_base", "_out_base",
@@ -202,6 +213,7 @@ class PeMachine:
         self.slot_cap = cfg.max_outstanding * (2 if cfg.fabric_type == "type1" else 1)
         self.cur_i = None
         self.temp_y = np.zeros(cfg.rank, dtype=np.float64)
+        self._prod = np.empty(cfg.rank, dtype=np.float64)  # one element's term
         self.acc_busy_until = 0
         self.pending_flush = None
         self.inflight = {}
@@ -238,12 +250,15 @@ class PeMachine:
             purpose, target, port = self.inflight.pop(tag)
         except KeyError:
             raise ProtocolError(f"response for unknown tag {tag}") from None
-        self.outstanding[port] -= 1
-        self.want_step = True
+        out = self.outstanding
+        w = self.max_outstanding
+        arm = out[port] == w  # a slot freed on a full port
+        out[port] -= 1
         if purpose == "elem":
             target.i, target.j, target.k, target.val = payload
             target.arrived = 1
             self.row_wait += 1
+            arm = arm or out[self._fiber_port] < w
         elif purpose == "drow":
             target.d_row = payload
             target.arrived += 1
@@ -251,29 +266,34 @@ class PeMachine:
             target.c_row = payload
             target.arrived += 1
         # writes need no payload; dropping the tag releases the port slot
+        if arm or (target is not None and target.arrived == 3
+                   and target is self.slots[0]):
+            self.want_step = True
 
     # -- compute side ----------------------------------------------------
 
     def _commit(self, now):
+        """Accumulate the complete head slot, or flush the partition's last
+        row once no slot is left."""
         if now < self.acc_busy_until:
             return
         if self.slots:
             head = self.slots[0]
-            if head.arrived != 3:
-                return
             if self.cur_i is not None and head.i != self.cur_i:
                 if self.pending_flush is not None:
                     return  # previous row still waiting for the store port
                 self.pending_flush = (self.cur_i, self.temp_y.astype(np.float32))
                 self.temp_y.fill(0.0)
             self.cur_i = head.i
-            # the rows arrived in float64 (MemoryImage.read)
-            self.temp_y += head.val * (head.d_row * head.c_row)
+            # float32 rows, multiplied exactly in float64
+            prod = self._prod
+            np.multiply(head.d_row, head.c_row, out=prod, dtype=np.float64)
+            prod *= head.val
+            self.temp_y += prod
             self.slots.popleft()
             self.acc_busy_until = now + self.cfg.accumulate_cycles
             self.accum_busy_cycles += self.cfg.accumulate_cycles
-        elif (self.next_z >= self.hi and self.cur_i is not None
-              and self.pending_flush is None):
+        else:
             self.pending_flush = (self.cur_i, self.temp_y.astype(np.float32))
             self.temp_y.fill(0.0)
             self.cur_i = None
@@ -287,7 +307,13 @@ class PeMachine:
         first category with work: a pending row store, then a row load for
         the lowest-z slot that holds its element, then the next element.
         """
-        self._commit(now)
+        slots = self.slots
+        if slots:
+            if slots[0].arrived == 3:
+                self._commit(now)
+        elif (self.next_z >= self.hi and self.cur_i is not None
+              and self.pending_flush is None):
+            self._commit(now)
         issued_any = False
         out = self.outstanding
         w = self.max_outstanding
@@ -342,16 +368,19 @@ class PeMachine:
             if self.first_cycle is None:
                 self.first_cycle = now
             self.last_cycle = now
-        # Backlog that needs no external event to make progress next cycle.
-        # Ports at max outstanding cannot act; deliver() re-arms want_step.
+        # Backlog that needs no response to make progress next cycle.  Ports
+        # at max outstanding cannot act, nor can a head whose commit waits
+        # for a pending flush; deliver() re-arms want_step.
+        flush = self.pending_flush
         self.want_step = (
-            (self.pending_flush is not None and out[self._write_port] < w)
-            or (self.next_z < self.hi and len(self.slots) < self.slot_cap
+            (flush is not None and out[self._write_port] < w)
+            or (self.next_z < self.hi and len(slots) < self.slot_cap
                 and out[self._elem_port] < w)
             or (self.row_wait and out[self._fiber_port] < w)
-            or (self.slots and self.slots[0].arrived == 3)
-            or (self.next_z >= self.hi and not self.slots
-                and self.cur_i is not None))
+            or (slots and slots[0].arrived == 3
+                and (flush is None or slots[0].i == self.cur_i))
+            or (self.next_z >= self.hi and not slots
+                and self.cur_i is not None and flush is None))
         return issued_any
 
     def next_event(self, now):
@@ -397,15 +426,19 @@ class MemoryImage:
         self.c = c
         self.out = np.zeros((tensor.dims[0], d.rank), dtype=np.float32)
         self._written = set()
+        # (i, j, k, val) per element, as Python numbers
+        self._elements = list(zip(tensor.i.tolist(), tensor.j.tolist(),
+                                  tensor.k.tolist(), tensor.vals.tolist()))
 
     def read(self, sem):
+        """An element as (i, j, k, val), or a factor row as a float32 view."""
         kind = sem[0]
         if kind == "elem":
-            return self.tensor.element(sem[1])
+            return self._elements[sem[1]]
         if kind == "drow":
-            return self.d.values[sem[1]].astype(np.float64)
+            return self.d.values[sem[1]]
         if kind == "crow":
-            return self.c.values[sem[1]].astype(np.float64)
+            return self.c.values[sem[1]]
         raise ProtocolError(f"read of non-readable payload {sem!r}")
 
     def write(self, sem):

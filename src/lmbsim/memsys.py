@@ -42,13 +42,15 @@ token, and comes back itself on in_resp, so an answer is applied with no
 dispatch on where its beat came from.
 
 A step that moved nothing finds its next wake on the same wires in every mode
-(a wire the mode never feeds is empty): in_resp, in_cache, in_dma and
-reductor stage 2, then the lookup pipe, the intake and the free ip ports with
-a request queued.  The arbiter's sources and the DMA backlog hold nothing
-after such a step: the arbiter takes a ready head every cycle, a beat
-appended to a source is ready the next cycle and the step that appended it
-moved, and a DMA backlog always grants, issues a beat or has staged beats
-ready at the arbiter.
+(a wire the mode never feeds is empty): in_resp, in_cache and reductor stage
+2, then the lookup pipe and the free ip ports with a request queued.  Nothing
+else can hold work that such a step skipped.  The arbiter takes a ready head
+every cycle, and a beat appended to a source is ready the next cycle, after a
+step that moved.  A DMA backlog always grants, issues a beat or has staged
+beats ready at the arbiter.  Only the fabric pushes onto in_dma, after the
+blocks have stepped, and the block's next step drains every ready entry.  An
+intake entry is ready the cycle after the step that appended it, so one left
+after a step that moved nothing waits behind a full pipe.
 
 Timing contract: every arrow between stages is a 1-cycle timestamped wire.
 Within a cycle an Lmb first applies responses from memory, then advances the
@@ -511,8 +513,7 @@ class Lmb:
             "ip-only": (self._step_ip, None, (self._ip_src,)),
         }[mode]
         # the wires _idle_wake reads, the same in every mode
-        self._wake_wires = (self.in_resp, self.in_cache, self.in_dma,
-                            self._stage2)
+        self._wake_wires = (self.in_resp, self.in_cache, self._stage2)
         # the wire each request kind enters on, indexed by ReqKind; ip-only
         # has a wire per PE instead
         cache, dma = self.in_cache, self.in_dma
@@ -779,11 +780,11 @@ class Lmb:
     def _idle_wake(self, now):
         """First cycle at which a step that moved nothing can act again.
 
-        Whatever was ready and is not read here is blocked, and only an input
-        push unblocks it: a pipe head waiting for a miss slot and the intake
-        behind a full pipe wait for a fill on in_resp, and a busy ip port's
-        queued requests wait for its response.  A stalled reductor stage 2
-        counts its stall cycles one step at a time.
+        Whatever was ready and is not read here is blocked: a pipe head
+        waiting for a miss slot waits for a fill on in_resp, the intake waits
+        behind a full pipe, and a busy ip port's queued requests wait for its
+        response.  A stalled reductor stage 2 counts its stall cycles one
+        step at a time.
         """
         wake = INF
         for wire in self._wake_wires:
@@ -791,11 +792,9 @@ class Lmb:
                 ready = wire[0][0]
                 if ready < wake:
                     wake = ready
-        pipe, intake = self._pipe, self._intake
+        pipe = self._pipe
         if pipe and self._wait_from is None:
             wake = min(wake, pipe[0][0])
-        if intake and len(pipe) < self._depth:
-            wake = min(wake, intake[0][0])
         for port in self._ip_takers:
             wake = min(wake, port.wire[0][0])
         return max(wake, now + 1)

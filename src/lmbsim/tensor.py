@@ -11,7 +11,6 @@ simulated configuration is checked against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,15 +21,6 @@ VALUE_BYTES = 4
 
 # Hard cap on I*J*K for the synthetic generator's linear-index sampling.
 _MAX_GEN_VOLUME = 1 << 62
-
-
-class CooElement(NamedTuple):
-    """One nonzero: coordinates and value, as moved by the memory system."""
-
-    i: int
-    j: int
-    k: int
-    val: float
 
 
 class CooTensor:
@@ -92,28 +82,11 @@ class CooTensor:
                     | ((j[1:] == j[:-1]) & (k[1:] >= k[:-1])))))
         return bool(np.all(ok))
 
-    def volume(self):
-        return self.dims[0] * self.dims[1] * self.dims[2]
-
     def sorted_mode0(self):
         """Return a copy sorted ascending by (i, j, k)."""
         order = np.lexsort((self.k, self.j, self.i))
         return CooTensor(self.dims, self.i[order], self.j[order], self.k[order],
                          self.vals[order], check=False)
-
-    def element(self, z):
-        return CooElement(self.i.item(z), self.j.item(z), self.k.item(z),
-                          self.vals.item(z))
-
-    def densify(self):
-        """Dense ndarray of shape dims; guarded against absurd volumes."""
-        if self.volume() > 1 << 24:
-            raise ConfigurationError(
-                f"refusing to densify tensor with volume {self.volume()}")
-        dense = np.zeros(self.dims, dtype=np.float64)
-        dense[self.i.astype(np.int64), self.j.astype(np.int64),
-              self.k.astype(np.int64)] = self.vals.astype(np.float64)
-        return dense
 
     def __eq__(self, other):
         if not isinstance(other, CooTensor):

@@ -4,6 +4,9 @@ Deliberately naive: straight-line lookups over Python lists, no shared code
 with the cache under test, so the two can disagree when one of them is wrong.
 """
 
+import numpy as np
+
+from lmbsim.errors import ConfigurationError
 from lmbsim.tensor import mttkrp_oracle
 
 
@@ -21,6 +24,19 @@ def off_at_origin(tensor, d, c):
     ref = mttkrp_oracle(tensor, d, c)
     ref.values[0, 0] += 1.0
     return ref
+
+
+def densify(tensor):
+    """A COO tensor as a dense float64 ndarray of shape dims, refused for
+    volumes over 2^24 cells."""
+    volume = tensor.dims[0] * tensor.dims[1] * tensor.dims[2]
+    if volume > 1 << 24:
+        raise ConfigurationError(
+            f"refusing to densify tensor with volume {volume}")
+    dense = np.zeros(tensor.dims, dtype=np.float64)
+    dense[tensor.i.astype(np.int64), tensor.j.astype(np.int64),
+          tensor.k.astype(np.int64)] = tensor.vals.astype(np.float64)
+    return dense
 
 
 class SetAssocLruRef:

@@ -18,14 +18,13 @@ from lmbsim.dram import DramConfig
 from lmbsim.engine import (REFERENCE_SPEEDUP, SystemConfig, replay_trace,
                            report_to_json, simulate, verify_output)
 from lmbsim.fabric import FabricConfig, RequestTrace
-from lmbsim.memsys import CacheConfig, CacheArray, LmbConfig, MshrConfig, xor_hash
+from lmbsim.memsys import (MODES, CacheArray, CacheConfig, LmbConfig,
+                           MshrConfig, xor_hash)
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, cp_als,
                            gen_synthetic, mttkrp_oracle)
 
-from refmodel import SetAssocLruRef
+from refmodel import SetAssocLruRef, densify
 from test_scripts import _load
-
-MODES = ("proposed", "cache-only", "dma-only", "ip-only")
 
 
 def _sys(mode, fabric_type, rank, num_lmbs=1, pe_count=4, t_row_miss=45):
@@ -68,7 +67,7 @@ def test_criterion_1_functional_correctness():
         want = mttkrp_oracle(tensor, d, c)
 
         if max(dims) <= 8:
-            dense = tensor.densify().astype(np.float64)
+            dense = densify(tensor)
             ref = np.einsum("ijk,jr,kr->ir", dense,
                             d.values.astype(np.float64),
                             c.values.astype(np.float64)).astype(np.float32)

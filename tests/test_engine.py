@@ -1,23 +1,26 @@
 """Timed simulations: micro-walk timing, mode equivalence, replay, reports."""
 
+import contextlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmbsim.dram import DramConfig
+from lmbsim.dram import Dram, DramConfig
 from lmbsim.engine import (NullImage, Router, Simulator, SystemConfig,
                            TracePlayer, _percentiles, replay_trace,
                            report_to_json, simulate, verify_output)
 from lmbsim.errors import ConfigurationError, DeadlockError, VerificationError
 from lmbsim.fabric import FabricConfig, RequestTrace, run_functional
-from lmbsim.memsys import CacheConfig, DmaConfig, Lmb, LmbConfig, MshrConfig
+from lmbsim.memsys import (MODES, CacheConfig, DmaConfig, Lmb, LmbConfig,
+                           MshrConfig)
 from lmbsim.queues import INF, TimedFifo
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, gen_synthetic,
                            mttkrp_oracle)
 
 from refmodel import off_at_origin, pop_ready
-
-MODES = ("proposed", "cache-only", "dma-only", "ip-only")
+from test_equivalence_digest import replay_system, timed_inputs
 
 
 def one_element_tensor():
@@ -550,6 +553,82 @@ def test_armed_list_is_the_workloads_with_want_step(mode, **case):
     finally:
         Simulator._fabric_step = fabric_step
     assert steps[0] > 0
+
+
+# --- every-cycle reference -------------------------------------------------------
+
+@contextlib.contextmanager
+def every_cycle(last_cycle):
+    """Run the engine with no wake rule: the DRAM, the router, every block
+    and the fabric side are woken, and every workload re-armed, before each
+    of their steps, and an iteration that moved nothing goes on to the next
+    cycle until the run is done.  Skipping a step that can act, or missing a
+    wake, changes the timeline of the normal run but not of this one.  A run
+    still busy after `last_cycle` has gone wrong; it stops there."""
+    fabric_step = Simulator._fabric_step
+
+    def woken(step):
+        def stepped(self, now):
+            self.wake = 0
+            return step(self, now)
+        return stepped
+
+    def fabric_every_cycle(sim, now):
+        sim.wake = 0
+        for w in sim.workloads:
+            w.want_step = True
+        sim._armed = list(range(len(sim.workloads)))
+        return fabric_step(sim, now)
+
+    def next_cycle(sim, now):
+        if sim._done():
+            return INF
+        assert now < last_cycle, f"reference still busy at cycle {now}"
+        return now + 1
+
+    patches = [(cls, "step", woken(cls.step)) for cls in (Dram, Router, Lmb)]
+    patches += [(Simulator, "_fabric_step", fabric_every_cycle),
+                (Simulator, "_next_event", next_cycle)]
+    saved = [(cls, name, getattr(cls, name)) for cls, name, _ in patches]
+    for cls, name, patched in patches:
+        setattr(cls, name, patched)
+    try:
+        yield
+    finally:
+        for cls, name, original in saved:
+            setattr(cls, name, original)
+
+
+def _timed_and_replayed(t, d, c, syscfg, replay_cfg):
+    trace = RequestTrace()
+    out, rep = simulate(t, d, c, syscfg, verify=True, trace=trace)
+    replay = replay_trace(trace.records, replay_cfg)
+    return rep, out.values.tobytes(), trace.records, replay
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       mode=st.sampled_from(MODES))
+def test_every_cycle_reference_gives_the_same_run(seed, mode):
+    # the equivalence digest's generator: small systems with every queue,
+    # slot and credit down to one
+    rng = random.Random(seed)
+    t, d, c, syscfg = timed_inputs(rng, mode)
+    replay_cfg = replay_system(rng, syscfg)
+    rep, out, records, replay = _timed_and_replayed(t, d, c, syscfg,
+                                                    replay_cfg)
+    last = max(rep["total_cycles"], replay["total_cycles"]) + 1
+    with every_cycle(last):
+        ref = _timed_and_replayed(t, d, c, syscfg, replay_cfg)
+    assert report_to_json(ref[0]) == report_to_json(rep)
+    assert ref[1] == out
+    assert ref[2] == records
+    assert report_to_json(ref[3]) == report_to_json(replay)
+    # every beat crosses the router both ways, and each is 64 bytes on the bus
+    for r in (rep, replay):
+        beats = r["dram"]["beats"]
+        assert r["router"]["forwarded"] == beats == r["router"]["returned"]
+        assert r["bus"]["bytes"] == 64 * beats
 
 
 # --- giving up ------------------------------------------------------------------

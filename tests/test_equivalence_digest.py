@@ -90,20 +90,28 @@ def _sha1(*parts):
     return h.hexdigest()
 
 
-def _timed_case(i):
-    rng = random.Random(SEED * 1000 + i)
+def timed_inputs(rng, mode):
+    """A small timed run in `mode`: (tensor, D, C, system config)."""
     t = _tensor(rng)
     rank = rng.choice((2, 4, 8, 32))
     d = FactorMatrix.random(t.dims[1], rank, seed=rng.randint(0, 9999))
     c = FactorMatrix.random(t.dims[2], rank, seed=rng.randint(0, 9999))
-    mode = MODES[i % len(MODES)]
-    syscfg = _system(rng, _fabric(rng, rank), mode, rng.randint(1, 4))
+    return t, d, c, _system(rng, _fabric(rng, rank), mode, rng.randint(1, 4))
+
+
+def replay_system(rng, syscfg):
+    """The system a trace of `syscfg` replays in: another mode, and the same
+    number of blocks, since the trace names its blocks."""
+    other = rng.choice([m for m in MODES if m != syscfg.lmb.mode])
+    return _system(rng, syscfg.fabric, other, syscfg.num_lmbs)
+
+
+def _timed_case(i):
+    rng = random.Random(SEED * 1000 + i)
+    t, d, c, syscfg = timed_inputs(rng, MODES[i % len(MODES)])
     trace = RequestTrace()
     out, rep = simulate(t, d, c, syscfg, verify=True, trace=trace)
-    other = rng.choice([m for m in MODES if m != mode])
-    # the trace names its blocks, so the replay keeps their number
-    replay = replay_trace(trace.records, _system(rng, syscfg.fabric, other,
-                                                 syscfg.num_lmbs))
+    replay = replay_trace(trace.records, replay_system(rng, syscfg))
     return _sha1(report_to_json(rep), out.values.tobytes(), trace.records,
                  report_to_json(replay))
 

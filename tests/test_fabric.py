@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmbsim.dram import DramConfig
 from lmbsim.engine import SystemConfig, simulate
 from lmbsim.errors import ConfigurationError, ProtocolError
 from lmbsim.fabric import (AddressMap, FabricConfig, MemoryImage, PeMachine,
@@ -195,8 +196,14 @@ def test_functional_rejects_rank_mismatch():
 
 
 def scanned_want_step(m):
-    """want_step as a scan of the slots computes it, without row_wait."""
+    """want_step as a scan of the slots computes it, without row_wait.
+
+    A complete head counts only if its commit can proceed: not while it
+    starts a new row and the current row's flush is still pending.  The
+    partition's last flush counts only if no flush is pending.
+    """
     w, out = m.max_outstanding, m.outstanding
+    head = m.slots[0] if m.slots else None
     return bool(
         (m.pending_flush is not None and out[m._write_port] < w)
         or (m.next_z < m.hi and len(m.slots) < m.slot_cap
@@ -204,9 +211,12 @@ def scanned_want_step(m):
         or (out[m._fiber_port] < w
             and any(s.i >= 0 and not (s.d_issued and s.c_issued)
                     for s in m.slots))
-        or (m.slots and m.slots[0].i >= 0 and m.slots[0].d_row is not None
-            and m.slots[0].c_row is not None)
-        or (m.next_z >= m.hi and not m.slots and m.cur_i is not None))
+        or (head is not None and head.i >= 0 and head.d_row is not None
+            and head.c_row is not None
+            and (m.pending_flush is None or m.cur_i is None
+                 or head.i == m.cur_i))
+        or (m.next_z >= m.hi and not m.slots and m.cur_i is not None
+            and m.pending_flush is None))
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,6 +264,43 @@ def test_row_wait_counts_slots_awaiting_rows(dims, nnz, seed, fabric_type,
     finally:
         PeMachine.step = step
     assert steps[0] > 0 or t.nnz == 0
+
+
+def test_a_blocked_flush_leaves_the_machine_disarmed():
+    # rows of about one element behind a port of four: a burst of commits
+    # fills the port with row stores, so a flush waits for the port while
+    # the next row's head is complete, and only a response can free it
+    t = sorted_tensor((200, 40, 40), 60, seed=5)
+    rank = 32
+    cfg = FabricConfig(fabric_type="type2", pe_count=1, max_outstanding=4,
+                       accumulate_cycles=1, rank=rank)
+    syscfg = SystemConfig(fabric=cfg, lmb=LmbConfig(mode="cache-only"),
+                          dram=DramConfig(num_banks=2))
+    blocked = [0]
+    step = PeMachine.step
+
+    def checked_step(m, now, sink):
+        issues, busy, cur_i = m.issue_count, m.accum_busy_cycles, m.cur_i
+        issued = step(m, now, sink)
+        head = m.slots[0] if m.slots else None
+        if (m.pending_flush is not None and head is not None
+                and head.arrived == 3 and head.i != m.cur_i):
+            blocked[0] += 1
+        committed = (m.accum_busy_cycles != busy
+                     or (cur_i is not None and m.cur_i is None))
+        if m.issue_count == issues and not committed:
+            # with a one-cycle accumulator, a step that did nothing had
+            # nothing it could do, and nothing changes before a response
+            assert not m.want_step
+        return issued
+
+    PeMachine.step = checked_step
+    try:
+        simulate(t, FactorMatrix.random(40, rank, seed=1),
+                 FactorMatrix.random(40, rank, seed=2), syscfg, verify=True)
+    finally:
+        PeMachine.step = step
+    assert blocked[0] > 0
 
 
 def test_request_stream_is_deterministic():

@@ -25,13 +25,12 @@ from lmbsim.dram import DramConfig
 from lmbsim.engine import (SystemConfig, replay_trace, report_to_json,
                            simulate)
 from lmbsim.fabric import FabricConfig, RequestTrace
-from lmbsim.memsys import (CacheConfig, DmaConfig, LmbConfig, MshrConfig,
-                           RrshConfig)
+from lmbsim.memsys import (MODES, CacheConfig, DmaConfig, LmbConfig,
+                           MshrConfig, RrshConfig)
 from lmbsim.tensor import FactorMatrix, GenSpec, gen_synthetic
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_reports.json")
 
-MODES = ("proposed", "cache-only", "dma-only", "ip-only")
 RANK = 8
 
 

@@ -8,6 +8,8 @@ from lmbsim.errors import ConfigurationError, DataError
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, cp_als,
                            gen_synthetic, mttkrp_mode, mttkrp_oracle)
 
+from refmodel import densify
+
 
 def make_tensor(dims, coords, vals):
     i, j, k = (np.array([c[axis] for c in coords], dtype=np.uint32)
@@ -17,7 +19,7 @@ def make_tensor(dims, coords, vals):
 
 def dense_mttkrp(tensor, d, c):
     # independent dense route: materialize and contract in float64
-    full = tensor.densify()
+    full = densify(tensor)
     out = np.einsum("ijk,jr,kr->ir", full,
                     d.values.astype(np.float64), c.values.astype(np.float64))
     return out.astype(np.float32)
@@ -98,7 +100,7 @@ def test_mode_permutations_match_dense():
     coords = sorted({(rng.integers(0, 4), rng.integers(0, 5), rng.integers(0, 6))
                      for _ in range(30)})
     t = make_tensor((4, 5, 6), coords, rng.uniform(-1, 1, len(coords)))
-    full = t.densify()
+    full = densify(t)
     a = FactorMatrix.random(4, 3, seed=1)
     d = FactorMatrix.random(5, 3, seed=2)
     c = FactorMatrix.random(6, 3, seed=3)
@@ -140,7 +142,7 @@ def test_rejects_negative_dim():
 def test_densify_volume_guard():
     t = make_tensor((300, 300, 300), [(0, 0, 0)], [1.0])
     with pytest.raises(ConfigurationError):
-        t.densify()
+        densify(t)
 
 
 @settings(max_examples=50, deadline=None)
