@@ -10,9 +10,18 @@ odd pairs the change first, so a drift of the host falls on both sides.  A
 run whose last line does not report `correct` with `failed` 0 stops the
 script.  For each end-to-end metric that BENCHMARK.json (at the root of this
 checkout) declares, it prints each side's median and quartiles, the ratio of
-the change's median to the parent's, and how many pairs the change won:
-pair by pair, by the metric's better direction, with ties counting for
-neither side.
+the change's median to the parent's, how many pairs the change won (pair
+by pair, by the metric's better direction, with ties counting for neither
+side) and a verdict, the first of these that holds:
+
+    better      the change won at least 9/10 of the pairs, and its median
+                is ahead of the parent's by more than the parent's IQR
+                (the distance between its quartiles)
+    worse       the change's median is behind the parent's by more than
+                the metric's `bound` (a share of the parent's median)
+    unresolved  the parent's IQR is wider than bound x its median, and not
+                every change run beats every parent run
+    same        anything else
 """
 
 from __future__ import annotations
@@ -35,6 +44,23 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def verdict(row, sign, bound, p, c):
+    """better, worse, unresolved or same (see the module docstring) for a
+    summary row of samples `p` and `c`; `sign` is 1 when higher is better,
+    else -1."""
+    base = row["parent"][1]
+    iqr = row["parent_iqr"]
+    ahead = sign * (row["change"][1] - base)
+    if row["wins"] >= 0.9 * row["pairs"] and ahead > iqr:
+        return "better"
+    if -ahead > bound * abs(base):
+        return "worse"
+    if iqr > bound * abs(base) and not all(sign * (b - a) > 0
+                                            for a in p for b in c):
+        return "unresolved"
+    return "same"
+
+
 def summarize(metrics, parent, change):
     """One row per metric from paired samples.
 
@@ -48,24 +74,26 @@ def summarize(metrics, parent, change):
         sign = 1 if m["better"] == "higher" else -1
         wins = sum(1 for a, b in zip(p, c) if sign * (b - a) > 0)
         pq, cq = quartiles(p), quartiles(c)
-        rows.append({
+        row = {
             "name": name, "unit": m["unit"],
             "parent": pq, "change": cq,
             "ratio": cq[1] / pq[1] if pq[1] else float("nan"),
             "parent_iqr": pq[2] - pq[0],
             "wins": wins, "pairs": len(p),
-        })
+        }
+        row["verdict"] = verdict(row, sign, m["bound"], p, c)
+        rows.append(row)
     return rows
 
 
 def format_rows(rows):
     lines = [f"{'metric':<18} {'parent q1/med/q3':>32} "
-             f"{'change q1/med/q3':>32} {'ratio':>7} {'wins':>6}"]
+             f"{'change q1/med/q3':>32} {'ratio':>7} {'wins':>6} verdict"]
     for r in rows:
         p = "/".join(f"{v:.4g}" for v in r["parent"])
         c = "/".join(f"{v:.4g}" for v in r["change"])
         lines.append(f"{r['name']:<18} {p:>32} {c:>32} {r['ratio']:>7.3f} "
-                     f"{r['wins']:>3}/{r['pairs']}")
+                     f"{r['wins']:>3}/{r['pairs']} {r['verdict']}")
     return lines
 
 

@@ -86,7 +86,6 @@ class Dram:
         self._bus_rr = 0
         self._busy = []        # heap of (service end, bank index)
         self._finished = 0     # serviced beats waiting for the bus
-        self._held = 0         # beats queued, in service or finished
         self._hol = None       # (bank, row) of the ingress head while blocked
         self._hol_from = 0     # first cycle a step found that head blocked
         self.stats = {
@@ -124,7 +123,6 @@ class Dram:
             beat = bank.done
             bank.done = None
             self._finished -= 1
-            self._held -= 1
             self._bus_rr = (i + 1) % n
             stats["bus_bytes"] += BEAT_BYTES
             stats["bus_useful_bytes"] += beat.useful
@@ -151,7 +149,6 @@ class Dram:
             if not bank.queue and bank.current is None and bank.done is None:
                 starts.append(loc[0])
             bank.queue.append((beat, loc[1], now))
-            self._held += 1
             stats["beats"] += 1
             moved = True
         # 3. start services, same-cycle start allowed
@@ -189,4 +186,7 @@ class Dram:
         return self.wake
 
     def idle(self):
-        return not self.ingress and not self.to_router and not self._held
+        # called once per run, so it may scan the bank queues
+        return (not self.ingress and not self.to_router and not self._busy
+                and not self._finished
+                and not any(bank.queue for bank in self.banks))

@@ -170,7 +170,9 @@ class TracePlayer:
     """Replays a recorded request stream open loop at its original cycles.
 
     The memory side is a deterministic function of its input schedule, so a
-    replay reproduces the original memory-side timeline exactly.
+    replay reproduces the original memory-side timeline exactly.  The player
+    keeps no record of its requests in flight: the Simulator's tag table
+    holds every one, and the run is not done until it is empty.
     """
 
     want_step = True  # step whenever the engine advances; records gate inside
@@ -178,14 +180,13 @@ class TracePlayer:
     def __init__(self, records):
         self.records = sorted(records, key=lambda r: (r[0], r[6]))
         self._pos = 0
-        self.inflight = set()
         self.issue_count = 0
         self.accum_busy_cycles = 0
         self.first_cycle = None
         self.last_cycle = 0
 
     def deliver(self, tag, payload):
-        self.inflight.discard(tag)
+        pass
 
     def step(self, now, sink):
         issued = False
@@ -195,7 +196,6 @@ class TracePlayer:
             req = MemoryRequest(ReqKind[kind.upper()], addr, nbytes, pe, tag,
                                 None)
             req.lmb = lmb
-            self.inflight.add(tag)
             self.issue_count += 1
             if self.first_cycle is None:
                 self.first_cycle = now
@@ -210,7 +210,7 @@ class TracePlayer:
         return INF
 
     def idle(self):
-        return self._pos >= len(self.records) and not self.inflight
+        return self._pos >= len(self.records)
 
 
 def _percentiles(values):

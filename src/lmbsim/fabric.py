@@ -190,9 +190,9 @@ class PeMachine:
     or the partition's last flush can commit.  The head cannot while its row
     differs from the current one and the current row's flush still waits
     for a full store port, nor can the last flush while another is pending.
-    A busy accumulator does not clear it.  A response sets it only when it
-    frees a slot on a full port, brings an element while the row port has
-    room, or completes the head slot.
+    A busy accumulator does not clear it.  `_can_act` states the rule; a
+    step sets `want_step` from it, and a response to a disarmed machine
+    re-arms it by the same rule.
     """
 
     __slots__ = ("cfg", "hi", "next_z", "slots", "slot_cap",
@@ -250,15 +250,11 @@ class PeMachine:
             purpose, target, port = self.inflight.pop(tag)
         except KeyError:
             raise ProtocolError(f"response for unknown tag {tag}") from None
-        out = self.outstanding
-        w = self.max_outstanding
-        arm = out[port] == w  # a slot freed on a full port
-        out[port] -= 1
+        self.outstanding[port] -= 1
         if purpose == "elem":
             target.i, target.j, target.k, target.val = payload
             target.arrived = 1
             self.row_wait += 1
-            arm = arm or out[self._fiber_port] < w
         elif purpose == "drow":
             target.d_row = payload
             target.arrived += 1
@@ -266,9 +262,8 @@ class PeMachine:
             target.c_row = payload
             target.arrived += 1
         # writes need no payload; dropping the tag releases the port slot
-        if arm or (target is not None and target.arrived == 3
-                   and target is self.slots[0]):
-            self.want_step = True
+        if not self.want_step:
+            self.want_step = self._can_act()
 
     # -- compute side ----------------------------------------------------
 
@@ -368,20 +363,25 @@ class PeMachine:
             if self.first_cycle is None:
                 self.first_cycle = now
             self.last_cycle = now
-        # Backlog that needs no response to make progress next cycle.  Ports
-        # at max outstanding cannot act, nor can a head whose commit waits
-        # for a pending flush; deliver() re-arms want_step.
-        flush = self.pending_flush
-        self.want_step = (
-            (flush is not None and out[self._write_port] < w)
-            or (self.next_z < self.hi and len(slots) < self.slot_cap
-                and out[self._elem_port] < w)
-            or (self.row_wait and out[self._fiber_port] < w)
-            or (slots and slots[0].arrived == 3
-                and (flush is None or slots[0].i == self.cur_i))
-            or (self.next_z >= self.hi and not slots
-                and self.cur_i is not None and flush is None))
+        self.want_step = self._can_act()
         return issued_any
+
+    def _can_act(self):
+        """Backlog that needs no response to make progress next cycle.
+        Ports at max outstanding cannot act, nor can a head whose commit
+        waits for a pending flush."""
+        out = self.outstanding
+        w = self.max_outstanding
+        slots = self.slots
+        flush = self.pending_flush
+        return ((flush is not None and out[self._write_port] < w)
+                or (self.next_z < self.hi and len(slots) < self.slot_cap
+                    and out[self._elem_port] < w)
+                or (self.row_wait and out[self._fiber_port] < w)
+                or (slots and slots[0].arrived == 3
+                    and (flush is None or slots[0].i == self.cur_i))
+                or (self.next_z >= self.hi and not slots
+                    and self.cur_i is not None and flush is None))
 
     def next_event(self, now):
         # a machine with want_step clear acts only after a delivery re-arms it

@@ -6,10 +6,12 @@ flight); the cache lookup pipe (a fixed-depth in-order deque in the block, one
 intake and one outcome per cycle, over the tag-only CacheArray, whose misses
 take _FetchSlots and whose write pieces go out write-through, no-allocate);
 the DmaEngine (per-PE descriptor queues it fills from in_dma itself,
-round-robin beat issue, staging credits); the beat cursor, a DMA descriptor's
-or raw port's next beat address and beats left, which cuts each 64-byte beat
-as it issues; and the port arbiter, one beat per cycle toward the router,
-round-robin over the mode's beat sources.
+round-robin beat issue, staging credits, which are the staged beats: a beat
+holds one from issue until the arbiter takes it); the cursor, one record of
+a request's 64-byte beats (aligned next address, beats not yet issued, beats
+not yet answered) for a DMA descriptor, a split request and a raw port; and
+the port arbiter, one beat per cycle toward the router, round-robin over the
+mode's beat sources.
 
 The mode picks, once, when the block is built, the wire each request kind
 enters on, the request-side step, what a returned line completes and the
@@ -20,8 +22,8 @@ arbiter's sources:
               Other kinds: in_dma -> DMA engine.  Arbiter: fetches, DMA.
   cache-only  everything: in_cache -> splitter -> intake -> lookup pipe, one
               line piece per line a request touches, each carrying the
-              request's [request, pieces left] record, whose last piece
-              answers.  One MSHR slot per waiting piece (primary and
+              request's cursor, whose last answered piece answers the
+              request.  One MSHR slot per waiting piece (primary and
               secondary alike), and the pipe stalls when slots run out.
               Arbiter: fetches, writes.
   dma-only    everything: in_dma -> DMA engine, elements included, so each
@@ -29,13 +31,14 @@ arbiter's sources:
               drains in_dma, so its step is the block's request step.
   ip-only     raw port: a wire per PE, one request per PE at a time, whose
               beats issue one by one, each after the previous round trip.
-              The ports are records in a list sorted by PE.  A count of the
+              The ports are cursors in a list sorted by PE.  A count of the
               ports holding a beat to issue gates the round-robin issue
               scan: taking a request adds one, issuing a beat takes one
               away, and the answer to a beat that is not its request's last
               adds one back.  A list of the free ports with a request queued
               (filled by accept and by a port's last answer) is all the
-              intake looks at.
+              intake looks at; the next step takes every one, because accept
+              pushes for the cycle after the blocks have stepped.
 
 Every beat carries the block's handler for its answer and that handler's
 token, and comes back itself on in_resp, so an answer is applied with no
@@ -43,14 +46,19 @@ dispatch on where its beat came from.
 
 A step that moved nothing finds its next wake on the same wires in every mode
 (a wire the mode never feeds is empty): in_resp, in_cache and reductor stage
-2, then the lookup pipe and the free ip ports with a request queued.  Nothing
-else can hold work that such a step skipped.  The arbiter takes a ready head
-every cycle, and a beat appended to a source is ready the next cycle, after a
-step that moved.  A DMA backlog always grants, issues a beat or has staged
-beats ready at the arbiter.  Only the fabric pushes onto in_dma, after the
-blocks have stepped, and the block's next step drains every ready entry.  An
-intake entry is ready the cycle after the step that appended it, so one left
-after a step that moved nothing waits behind a full pipe.
+2, then the lookup pipe.  Nothing else can hold work that such a step
+skipped.  The arbiter takes a ready head every cycle, and a beat appended to
+a source is ready the next cycle, after a step that moved.  A DMA backlog
+always grants, issues a beat or has staged beats ready at the arbiter.  Only
+the fabric pushes onto in_dma, after the blocks have stepped, and the
+block's next step drains every ready entry.  An intake entry is ready the
+cycle after the step that appended it, so one left after a step that moved
+nothing waits behind a full pipe.
+
+drained() checks that every wire, stage, queue and fetch slot is empty and
+that every request the block accepted has been answered (requests ==
+responses); the engine's unknown-tag ProtocolError rules out a second
+answer to one request hiding a missing answer to another.
 
 Timing contract: every arrow between stages is a 1-cycle timestamped wire.
 Within a cycle an Lmb first applies responses from memory, then advances the
@@ -165,8 +173,8 @@ class DmaConfig:
 
     @property
     def beat_credits(self):
-        # Staging storage in beat units; a read beat holds a credit from issue
-        # until its data is drained, a write beat until its ack returns.
+        # Staging storage in beat units: a staged beat holds one until the
+        # port arbiter takes it.
         return self.buffers * self.buffer_bytes // BEAT_BYTES
 
 
@@ -216,7 +224,8 @@ def _line_of(addr):
 
 class _Cursor:
     """A request's 64-byte beats, cut one at a time as each issues (a DMA
-    descriptor, and the base of a raw port).  `addr` is the next beat's
+    descriptor, and the base of a raw port); a split request's line pieces
+    are its first `left` lines from `addr`.  `addr` is the next beat's
     address, `left` the beats not yet issued and `unanswered` those not yet
     answered; beat b of [start, end) has min(end, b + 64) - max(start, b)
     useful bytes."""
@@ -241,15 +250,15 @@ class _Cursor:
 
 
 class _Port(_Cursor):
-    """ip-only: one PE's raw port, a cursor over the request it works on."""
+    """ip-only: one PE's raw port, a cursor over the request it works on;
+    while it holds one, `left == unanswered` says no beat of it is out."""
 
-    __slots__ = ("pe", "wire", "waiting")
+    __slots__ = ("pe", "wire")
 
     def __init__(self, pe, wire):
         self.pe = pe
         self.wire = wire      # requests queued behind the current one
         self.req = None
-        self.waiting = False  # a beat of req is out, awaiting its answer
 
 
 class TempBuffer:
@@ -373,10 +382,10 @@ class DmaEngine:
     grant per cycle into a free descriptor slot; one beat issued per cycle
     round-robin over active descriptors, staged on `src`.  A descriptor slot
     is an address-generation context: it frees once the last beat has issued,
-    while the descriptor counts its answers.  Each issued beat holds one
-    staging credit until the block's port arbiter takes it off `src`, so the
-    credits bound how far the engine runs ahead of the port, not the DRAM
-    round trip.  In proposed the block steps it only while `wire`, `queued`
+    while the descriptor counts its answers.  Each beat on `src` holds one
+    staging credit, so the credits left are beat_credits - len(src): they
+    bound how far the engine runs ahead of the port, not the DRAM round
+    trip.  In proposed the block steps it only while `wire`, `queued`
     or `descs` holds something; in dma-only it is the request step.
     """
 
@@ -389,9 +398,8 @@ class DmaEngine:
         self._pes = []     # the keys of queues, sorted
         self.queued = 0    # requests in all queues
         self.descs = []    # slot-holding cursors, each with a beat left
-        self.open = 0      # descriptors granted and not fully answered
         self.src = deque()  # staged beats toward the port arbiter
-        self.credits = cfg.beat_credits
+        self.beat_credits = cfg.beat_credits
         self._grant_rr = 0
         self._beat_rr = 0
         self.stats = stats
@@ -426,19 +434,17 @@ class DmaEngine:
                         self.queued -= 1
                         self._grant_rr = (rr + off + 1) % n
                         descs.append(_Cursor().load(q.popleft()))
-                        self.open += 1
                         self.stats["descs"] += 1
                         moved = True
                         break
         if not descs:
             return moved
-        if self.credits <= 0:
+        if len(self.src) >= self.beat_credits:
             self.stats["credit_stall_cycles"] += 1
             return moved
         count = len(descs)
         idx = self._beat_rr % count
         desc = descs[idx]
-        self.credits -= 1
         self.stats["beats"] += 1
         self._beat_rr = (self._beat_rr + 1) % count
         self.src.append((now + 1, desc.beat(self.lmb_id, self.done)))
@@ -484,17 +490,15 @@ class Lmb:
         self.fetch_slots = _FetchSlots(cap, per_req)
         self.tempbuf = TempBuffer(cfg.tempbuf)
         self.rrsh = RrshTable(cfg.rrsh)
-        self.dma = DmaEngine(cfg.dma, self.stats, lmb_id, self._dma_done,
+        self.dma = DmaEngine(cfg.dma, self.stats, lmb_id, self._answered,
                              self.in_dma)
         # stage wires inside the block: plain deques of (ready, item),
         # appended and read in place (see queues.py)
         self._stage2 = deque()     # reductor stage 1 -> stage 2
         self._intake = deque()     # stage 2 / splitter -> lookup pipe
         self._cache_src = deque()  # fetch beats toward the arbiter
-        self._dma_src = self.dma.src
         self._wr_src = deque()
         self._ip_src = deque()
-        self._open_splits = 0        # cache-only: split requests not answered
         self._ports = []             # ip-only: _Port records, sorted by pe
         self._port_of = {}           # pe -> its _Port
         self._ip_issuable = 0        # ports holding a beat to issue
@@ -506,10 +510,10 @@ class Lmb:
         # the arbiter's sources
         self._step_requests, self._finish_read, self._sources = {
             "proposed": (self._step_proposed, self._finish_elem_line,
-                         (self._cache_src, self._dma_src)),
-            "cache-only": (self._step_cache_only, self._piece_done,
+                         (self._cache_src, self.dma.src)),
+            "cache-only": (self._step_cache_only, self._answered,
                            (self._cache_src, self._wr_src)),
-            "dma-only": (self.dma.step, None, (self._dma_src,)),
+            "dma-only": (self.dma.step, None, (self.dma.src,)),
             "ip-only": (self._step_ip, None, (self._ip_src,)),
         }[mode]
         # the wires _idle_wake reads, the same in every mode
@@ -567,12 +571,6 @@ class Lmb:
         for waiter in self.fetch_slots.complete(line):
             self._finish_read(waiter, now, line)
 
-    def _dma_done(self, desc, now):
-        desc.unanswered -= 1
-        if not desc.unanswered:
-            self.dma.open -= 1
-            self._respond(desc.req, now)
-
     def _finish_elem_line(self, waiter, now, line):
         if waiter == "rrsh":
             for req in self.rrsh.complete(line):
@@ -581,19 +579,15 @@ class Lmb:
             self._respond(waiter, now)
         self.tempbuf.deposit(line)
 
-    def _piece_done(self, split, now, line=None):
-        """One piece of a split request is done; the last one answers.
-
-        `split` is the request's [request, pieces left] record.  A returned
-        line passes its line number, which a piece does not need.
-        """
-        split[1] -= 1
-        if not split[1]:
-            self._open_splits -= 1
-            self._respond(split[0], now)
+    def _answered(self, cur, now, line=None):
+        """One beat or line piece of a DMA descriptor or split request is
+        answered; the last one answers the request.  A returned line passes
+        its line number, which a piece does not need."""
+        cur.unanswered -= 1
+        if not cur.unanswered:
+            self._respond(cur.req, now)
 
     def _ip_beat_done(self, port, now):
-        port.waiting = False
         port.unanswered -= 1
         if port.unanswered:
             self._ip_issuable += 1
@@ -655,12 +649,10 @@ class Lmb:
         if wire and wire[0][0] <= now:
             req = wire.popleft()[1]
             kind = req.kind
-            line = _line_of(req.addr)
-            last = _line_of(req.addr + req.nbytes - 1)
-            split = [req, last - line + 1]
-            self._open_splits += 1
-            for piece in range(line, last + 1):
-                self._intake.append((now, (kind, split, piece)))
+            cur = _Cursor().load(req)
+            line = _line_of(cur.addr)
+            for piece in range(line, line + cur.left):
+                self._intake.append((now, (kind, cur, piece)))
             moved = True
         if self._intake or self._pipe:
             moved |= self._step_lookup(now)
@@ -693,7 +685,7 @@ class Lmb:
             # write-through, no allocate: a hit only refreshes the line
             pipe.popleft()
             self.stats["write_beats"] += 1
-            self._wr_src.append((now + 1, Beat(self.lmb_id, self._piece_done,
+            self._wr_src.append((now + 1, Beat(self.lmb_id, self._answered,
                                                waiter, line * BEAT_BYTES,
                                                BEAT_BYTES)))
             return True
@@ -718,30 +710,26 @@ class Lmb:
 
     def _step_ip(self, now):
         moved = False
-        if self._ip_takers:
-            # a taker's wire is never empty
-            not_ready = []
-            for port in self._ip_takers:
-                wire = port.wire
-                if wire[0][0] > now:
-                    not_ready.append(port)
-                else:
-                    port.load(wire.popleft()[1])
-                    self._ip_issuable += 1
-                    moved = True
-            self._ip_takers = not_ready
+        takers = self._ip_takers
+        if takers:
+            # a taker's head is ready: accept pushes it for the cycle after
+            # the blocks have stepped
+            for port in takers:
+                port.load(port.wire.popleft()[1])
+            self._ip_issuable += len(takers)
+            takers.clear()
+            moved = True
         if not self._ip_issuable:
             return moved
         # issue one beat per cycle across PEs, round-robin; a port holding
-        # a request and not waiting on a beat has one left (its last answer
-        # frees it).  The beat carries its port back as token.
+        # a request with no beat out has one left (its last answer frees
+        # it).  The beat carries its port back as token.
         ports = self._ports
         n = len(ports)
         for off in range(n):
             idx = (self._ip_rr + off) % n
             port = ports[idx]
-            if port.req is not None and not port.waiting:
-                port.waiting = True
+            if port.req is not None and port.left == port.unanswered:
                 self._ip_issuable -= 1
                 self._ip_rr = (idx + 1) % n
                 self._ip_src.append(
@@ -769,8 +757,6 @@ class Lmb:
             if src and src[0][0] <= now:
                 beat = src.popleft()[1]
                 self._arb_rr = (self._arb_rr + off + 1) % n
-                if src is self._dma_src:
-                    self.dma.credits += 1
                 self.to_router.push(now + 1, beat)
                 moved = True
                 break
@@ -784,7 +770,8 @@ class Lmb:
         waiting for a miss slot waits for a fill on in_resp, the intake waits
         behind a full pipe, and a busy ip port's queued requests wait for its
         response.  A stalled reductor stage 2 counts its stall cycles one
-        step at a time.
+        step at a time.  No free ip port is left with a request queued: the
+        step took every one.
         """
         wake = INF
         for wire in self._wake_wires:
@@ -795,8 +782,6 @@ class Lmb:
         pipe = self._pipe
         if pipe and self._wait_from is None:
             wake = min(wake, pipe[0][0])
-        for port in self._ip_takers:
-            wake = min(wake, port.wire[0][0])
         return max(wake, now + 1)
 
     def next_event(self, now):
@@ -805,11 +790,12 @@ class Lmb:
     def drained(self):
         return (not self.in_cache and not self.in_dma and not self.in_resp
                 and not self._stage2 and not self._intake and not self._pipe
-                and not self._cache_src and not self._dma_src
+                and not self._cache_src and not self.dma.src
                 and not self._wr_src and not self._ip_src
                 and not self.to_router and not self.to_fabric
-                and not self._open_splits and not self.fetch_slots.lines
-                and not self.dma.queued and not self.dma.open
+                and self.stats["requests"] == self.stats["responses"]
+                and not self.fetch_slots.lines
+                and not self.dma.queued
                 and all(port.req is None and not port.wire
                         for port in self._ports)
                 and self.rrsh.pending == 0)

@@ -4,8 +4,10 @@ Each test prints a single summary line with the measured values so a plain
 `pytest -v tests/test_acceptance.py` reads as a checklist.
 """
 
+import hashlib
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -97,16 +99,30 @@ def _preset_run(table, workload, mode):
     settings = cfgmod.default_settings()
     cfgmod.apply_preset(settings, table)
     cfgmod.apply_preset(settings, workload)
-    return run_mode(settings, mode)["total_cycles"]
+    return run_mode(settings, mode)
+
+
+def _pin(report):
+    return {"total_cycles": report["total_cycles"],
+            "dram_beats": report["dram"]["beats"],
+            "report_sha1": hashlib.sha1(
+                report_to_json(report).encode()).hexdigest()}
 
 
 def test_criterion_2_speedup_ordering():
+    # The 16 runs are pinned in criterion2_pins.json; a deliberate timing
+    # change re-pins the file and says why.
+    with open(os.path.join(os.path.dirname(__file__), "criterion2_pins.json"),
+              encoding="utf-8") as fh:
+        pins = json.load(fh)
     start = time.monotonic()
     lines = []
+    got = {}
     for table in ("table2-config-a", "table2-config-b"):
         for workload in ("synth01-mini", "synth02-mini"):
-            cycles = {mode: _preset_run(table, workload, mode)
-                      for mode in MODES}
+            reports = {mode: _preset_run(table, workload, mode)
+                       for mode in MODES}
+            cycles = {mode: rep["total_cycles"] for mode, rep in reports.items()}
             assert cycles["proposed"] < cycles["dma-only"] \
                 < cycles["cache-only"] < cycles["ip-only"], \
                 f"{table}/{workload}: ordering violated: {cycles}"
@@ -114,6 +130,9 @@ def test_criterion_2_speedup_ordering():
             assert speedup >= 2.0, f"{table}/{workload}: {speedup:.2f}x < 2x"
             lines.append(f"{table}/{workload} {speedup:.2f}x "
                          f"(published ballpark {REFERENCE_SPEEDUP['proposed']}x)")
+            for mode, rep in reports.items():
+                got[f"{table}/{workload}/{mode}"] = _pin(rep)
+    assert got == pins
     elapsed = time.monotonic() - start
     assert elapsed < 600.0
     print(f"criterion 2 speedup ordering: PASS ({'; '.join(lines)}; "

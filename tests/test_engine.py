@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lmbsim.dram import Dram, DramConfig
 from lmbsim.engine import (NullImage, Router, Simulator, SystemConfig,
@@ -13,8 +13,8 @@ from lmbsim.engine import (NullImage, Router, Simulator, SystemConfig,
                            report_to_json, simulate, verify_output)
 from lmbsim.errors import ConfigurationError, DeadlockError, VerificationError
 from lmbsim.fabric import FabricConfig, RequestTrace, run_functional
-from lmbsim.memsys import (MODES, CacheConfig, DmaConfig, Lmb, LmbConfig,
-                           MshrConfig)
+from lmbsim.memsys import (MODES, CacheConfig, DmaConfig, DmaEngine, Lmb,
+                           LmbConfig, MshrConfig, RrshConfig, _Cursor)
 from lmbsim.queues import INF, TimedFifo
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, gen_synthetic,
                            mttkrp_oracle)
@@ -370,11 +370,20 @@ def test_ip_port_counts_equal_a_recount(**case):
     step = Lmb.step
 
     def checked_step(lmb, now):
+        wake = lmb.wake
         moved = step(lmb, now)
         steps[0] += 1
-        assert lmb._ip_issuable == sum(1 for p in lmb._ports
-                                       if p.req is not None and not p.waiting)
+        # a loaded port has a beat to issue when none of its beats is out
+        assert lmb._ip_issuable == sum(
+            1 for p in lmb._ports
+            if p.req is not None and p.left == p.unanswered)
+        for p in lmb._ports:
+            if p.req is not None:
+                assert 0 <= p.unanswered - p.left <= 1 and p.unanswered
         assert [p.pe for p in lmb._ports] == sorted(lmb._port_of)
+        # the step took every free port with a request queued
+        if now >= wake:
+            assert not lmb._ip_takers
         assert sorted(p.pe for p in lmb._ip_takers) == \
             [p.pe for p in lmb._ports if p.req is None and p.wire]
         return moved
@@ -400,8 +409,9 @@ def test_ip_port_counts_equal_a_recount(**case):
        depth=st.integers(min_value=1, max_value=4),
        slots=st.integers(min_value=1, max_value=4),
        lines=st.sampled_from([16, 8192]))
-def test_fetch_slot_and_open_split_counts_equal_a_recount(mode, depth, slots,
-                                                          lines, **case):
+def test_fetch_slot_and_split_cursor_counts_equal_a_recount(mode, depth,
+                                                            slots, lines,
+                                                            **case):
     steps = [0]
     step = Lmb.step
 
@@ -418,20 +428,15 @@ def test_fetch_slot_and_open_split_counts_equal_a_recount(mode, depth, slots,
             _, waiter, line = lmb._pipe[0][1]
             cost = 1 if fetch.per_request else int(line not in fetch.lines)
             assert fetch.used + cost > fetch.capacity
-        # a split request is open from its cut until its answer; every
-        # request in cache-only enters on in_cache and is split
-        live = 0
-        if lmb.mode == "cache-only":
-            live = (lmb.stats["requests"] - len(lmb.in_cache)
-                    - lmb.stats["responses"])
-        assert lmb._open_splits == live
-        # a record counts at least the pieces the block still holds
+        # a held split cursor's unanswered count covers its pieces still
+        # held; its other pieces are on the write wire or answered
         held = [item[1] for _, item in lmb._pipe] + \
             [item[1] for _, item in lmb._intake] + \
             [w for ws in fetch.lines.values() for w in ws]
-        for split in held:
-            if isinstance(split, list):
-                assert split[1] >= sum(1 for h in held if h is split)
+        for cur in held:
+            if isinstance(cur, _Cursor):
+                assert cur.unanswered >= sum(1 for h in held if h is cur)
+                assert cur.unanswered <= cur.left
         return moved
 
     lmb = LmbConfig(mode=mode,
@@ -444,6 +449,48 @@ def test_fetch_slot_and_open_split_counts_equal_a_recount(mode, depth, slots,
     finally:
         Lmb.step = step
     assert steps[0] > 0
+
+
+def test_rrsh_pending_counts_the_parked_waiters():
+    # small pending caps, ways and bucket counts, so that the draws reach
+    # both a stall on the cap and a bypass of a full set
+    reached = {"rrsh_stall_cycles": 0, "rrsh_bypass": 0}
+    step = Lmb.step
+
+    def checked_step(lmb, now):
+        moved = step(lmb, now)
+        rrsh = lmb.rrsh
+        assert rrsh.pending == sum(len(waiters) for bucket in rrsh.sets
+                                   for waiters in bucket.values())
+        for key in reached:
+            reached[key] += lmb.stats[key] > 0
+        return moved
+
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.tuples(*(st.integers(min_value=1, max_value=8),) * 3),
+           nnz=st.integers(min_value=0, max_value=60),
+           seed=st.integers(min_value=0, max_value=1000),
+           fabric_type=st.sampled_from(["type1", "type2"]),
+           pe_count=st.integers(min_value=1, max_value=8),
+           max_outstanding=st.integers(min_value=1, max_value=4),
+           rank=st.sampled_from([2, 8, 32]),
+           num_lmbs=st.integers(min_value=1, max_value=4),
+           cap=st.integers(min_value=1, max_value=4),
+           ways=st.integers(min_value=1, max_value=2),
+           buckets=st.sampled_from([1, 2]))
+    @example(dims=(8, 8, 8), nnz=60, seed=1, fabric_type="type2", pe_count=8,
+             max_outstanding=4, rank=8, num_lmbs=1, cap=2, ways=1, buckets=1)
+    def check(cap, ways, buckets, **case):
+        rrsh = RrshConfig(entries=ways * buckets, ways=ways, pending_cap=cap)
+        _small_run("proposed", lmb=LmbConfig(mode="proposed", rrsh=rrsh),
+                   **case)
+
+    Lmb.step = checked_step
+    try:
+        check()
+    finally:
+        Lmb.step = step
+    assert all(reached.values()), reached
 
 
 @settings(max_examples=40, deadline=None)
@@ -472,7 +519,7 @@ def test_a_step_that_moved_nothing_leaves_no_beat_and_no_dma_backlog(
         moved = step(lmb, now)
         steps[0] += 1
         if awake and not moved:
-            assert not (lmb._cache_src or lmb._dma_src or lmb._wr_src
+            assert not (lmb._cache_src or lmb.dma.src or lmb._wr_src
                         or lmb._ip_src)
             assert not (lmb.dma.queued or lmb.dma.descs)
         return moved
@@ -502,24 +549,33 @@ def test_a_step_that_moved_nothing_leaves_no_beat_and_no_dma_backlog(
        num_lmbs=st.integers(min_value=1, max_value=4),
        credits=st.integers(min_value=1, max_value=2),
        desc_slots=st.integers(min_value=1, max_value=2))
-def test_dma_credits_plus_staged_beats_equal_beat_credits(
+def test_staged_dma_beats_never_exceed_beat_credits(
         mode, credits, desc_slots, **case):
-    # a beat holds its staging credit from issue until the arbiter takes it
+    # a beat holds its staging credit from issue until the arbiter takes
+    # it, so a credit stall happens only with every credit staged
     dma = DmaConfig(buffers=credits, buffer_bytes=64, desc_slots=desc_slots)
     steps = [0]
     step = Lmb.step
+    engine_step = DmaEngine.step
 
     def checked_step(lmb, now):
         moved = step(lmb, now)
         steps[0] += 1
-        assert lmb.dma.credits + len(lmb._dma_src) == dma.beat_credits
+        assert len(lmb.dma.src) <= dma.beat_credits
         return moved
 
-    Lmb.step = checked_step
+    def checked_engine_step(engine, now):
+        stalls = engine.stats["credit_stall_cycles"]
+        moved = engine_step(engine, now)
+        if engine.stats["credit_stall_cycles"] > stalls:
+            assert len(engine.src) == dma.beat_credits
+        return moved
+
+    Lmb.step, DmaEngine.step = checked_step, checked_engine_step
     try:
         _small_run(mode, lmb=LmbConfig(mode=mode, dma=dma), **case)
     finally:
-        Lmb.step = step
+        Lmb.step, DmaEngine.step = step, engine_step
     assert steps[0] > 0
 
 

@@ -205,7 +205,10 @@ def test_first_piece_enters_the_pipe_where_it_is_cut(fill):
         lmb.in_resp.push(5, Beat(0, lmb._fill, 7, 7 * 64, 16))
         lmb._finish_read = lambda waiter, now, line: None
     assert _miss_cycles(lmb, 8) == ([6] if fill else [5])
-    assert lmb._open_splits == 1 and not lmb._intake
+    # the request is open: its one piece waits on line 0's fetch slot
+    (cur,) = lmb.fetch_slots.lines[0]
+    assert cur.unanswered == 1 and not lmb._intake
+    assert lmb.stats["responses"] == 0 and not lmb.drained()
 
 
 # --- fetch slot accounting ----------------------------------------------------
@@ -329,9 +332,11 @@ def test_dma_credits_throttle_and_return():
                            dma=DmaConfig(buffers=1, buffer_bytes=64)),
               NullImage())
     lmb.accept(make_req(ReqKind.ROW_D, 0, 128), -1)
+    staged = []
     for now in range(6):
         lmb.step(now)
-        assert lmb.dma.credits + len(lmb._dma_src) == 1
+        staged.append(len(lmb.dma.src))
+    assert staged == [1, 0, 1, 0, 0, 0]
     assert [(ready, beat.addr) for ready, beat in lmb.to_router] == \
         [(2, 0), (4, 64)]
     assert lmb.stats["credit_stall_cycles"] == 1
@@ -344,13 +349,17 @@ def test_dma_completion_fires_after_all_beats_respond():
     for now in range(4):
         lmb.step(now)
     first, second = [beat for _, beat in lmb.to_router]
+    lmb.to_router.clear()  # the router took both
+    desc = first.token
+    assert second.token is desc and desc.unanswered == 2
     lmb.in_resp.push(10, second)
     lmb.step(10)
-    assert not lmb.to_fabric and lmb.dma.open == 1
+    assert not lmb.to_fabric and desc.unanswered == 1
+    assert not lmb.drained()
     lmb.in_resp.push(11, first)
     lmb.step(11)
     assert pop_ready(lmb.to_fabric, 12) == (5, None)
-    assert lmb.dma.open == 0
+    assert desc.unanswered == 0 and lmb.drained()
 
 
 def test_dma_round_robin_interleaves_descriptors():

@@ -55,8 +55,10 @@ def test_coalescing_demo_smoke(capsys):
 
 def test_bench_pairs_summary_on_fixed_samples():
     pairs = _load("bench_pairs")
-    metrics = [{"name": "dma-only_s", "unit": "s", "better": "lower"},
-               {"name": "sim_speedup", "unit": "x", "better": "higher"}]
+    metrics = [{"name": "dma-only_s", "unit": "s", "better": "lower",
+                "bound": 0.25},
+               {"name": "sim_speedup", "unit": "x", "better": "higher",
+                "bound": 0.25}]
     parent = {"dma-only_s": [1.0, 2.0, 3.0, 4.0, 5.0],
               "sim_speedup": [2.0, 2.0, 2.0, 2.0, 2.0]}
     change = {"dma-only_s": [0.5, 2.0, 3.5, 3.0, 4.0],
@@ -72,7 +74,32 @@ def test_bench_pairs_summary_on_fixed_samples():
     assert pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
     lines = pairs.format_rows([time_row, speedup_row])
     assert lines[1].split()[0] == "dma-only_s"
-    assert lines[1].split()[-1] == "3/5"
+    assert lines[1].split()[-2:] == ["3/5", "unresolved"]
+    assert lines[2].split()[-2:] == ["1/5", "same"]
+
+
+@pytest.mark.parametrize("better, parent, change, want", [
+    # 9 of 10 pairs won, medians 1.0 apart against a parent IQR of 0.1
+    ("lower", [10.0, 10.1, 9.9, 10.0, 10.1, 9.9, 10.0, 10.0, 10.1, 9.9],
+     [9.0] * 9 + [10.5], "better"),
+    # the same gap with 8 of 10 pairs won
+    ("lower", [10.0, 10.1, 9.9, 10.0, 10.1, 9.9, 10.0, 10.0, 10.1, 9.9],
+     [9.0] * 8 + [10.5] * 2, "same"),
+    # behind by more than the bound, in each direction
+    ("lower", [10.0, 10.0, 10.1], [12.6, 12.6, 12.6], "worse"),
+    ("higher", [2.0, 2.0, 2.0], [1.4, 1.5, 1.4], "worse"),
+    ("higher", [2.0, 2.0, 2.0], [1.6, 1.6, 1.6], "same"),
+    # a parent IQR wider than bound x median leaves it open ...
+    ("lower", [1.0, 2.0, 3.0, 4.0, 5.0], [1.5, 2.5, 3.0, 3.5, 4.5],
+     "unresolved"),
+    # ... unless every change run beats every parent run
+    ("lower", [1.0, 1.1, 1.2, 5.0, 9.0], [0.9] * 5, "same"),
+])
+def test_bench_pairs_verdicts_on_fixed_samples(better, parent, change, want):
+    pairs = _load("bench_pairs")
+    metrics = [{"name": "m", "unit": "s", "better": better, "bound": 0.25}]
+    (row,) = pairs.summarize(metrics, {"m": parent}, {"m": change})
+    assert row["verdict"] == want
 
 
 def test_bench_pairs_refuses_a_run_that_is_not_correct(monkeypatch):
