@@ -22,6 +22,8 @@ side) and a verdict, the first of these that holds:
     unresolved  the parent's IQR is wider than bound x its median, and not
                 every change run beats every parent run
     same        anything else
+
+It exits 1 when any metric's verdict is `worse`, else 0.
 """
 
 from __future__ import annotations
@@ -141,11 +143,11 @@ def main(argv=None):
             for side in order), flush=True)
     print(f"# {args.workload} seed {args.seed}, {args.pairs} pairs of "
           f"{args.seconds:g} s runs")
-    for line in format_rows(summarize(metrics, samples["parent"],
-                                      samples["change"])):
+    rows = summarize(metrics, samples["parent"], samples["change"])
+    for line in format_rows(rows):
         print(line)
     print(json.dumps(samples))
-    return 0
+    return 1 if any(r["verdict"] == "worse" for r in rows) else 0
 
 
 if __name__ == "__main__":

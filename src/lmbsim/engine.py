@@ -26,6 +26,9 @@ beat per row); the derivation is walked through in the acceptance tests.
 
 Requests issue from PE machines as in the functional harness (identical
 numerics) and flow to one memory block chosen by pe modulo the block count.
+The Simulator's tag table maps each tag in flight to its workload, the
+request and its issue cycle, and hands an answer to that workload's deliver
+together with the request.
 
 The engine steps every component once per loop iteration.  The DRAM, the
 router and each block keep a `wake` cycle, and a step below it is a no-op:
@@ -185,7 +188,7 @@ class TracePlayer:
         self.first_cycle = None
         self.last_cycle = 0
 
-    def deliver(self, tag, payload):
+    def deliver(self, req, payload):
         pass
 
     def step(self, now, sink):
@@ -260,7 +263,7 @@ class Simulator:
                 raise ConfigurationError(
                     f"request targets block {req.lmb}, only "
                     f"{self.cfg.num_lmbs} configured")
-            self._inflight[req.tag] = (w_i, req.kind, now)
+            self._inflight[req.tag] = (w_i, req, now)
             if self.trace is not None:
                 self.trace.add(now, req)
             self.lmbs[req.lmb].accept(req, now)
@@ -277,13 +280,13 @@ class Simulator:
                 while wire and wire[0][0] <= now:
                     tag, payload = wire.popleft()[1]
                     try:
-                        w_i, kind, issued = self._inflight.pop(tag)
+                        w_i, req, issued = self._inflight.pop(tag)
                     except KeyError:
                         raise ProtocolError(
                             f"response for unknown tag {tag}") from None
-                    self._latencies[kind].append(now - issued)
+                    self._latencies[req.kind].append(now - issued)
                     w = workloads[w_i]
-                    w.deliver(tag, payload)
+                    w.deliver(req, payload)
                     # a delivery may set want_step: then re-arm the workload
                     if w.want_step and w_i not in armed:
                         insort(armed, w_i)

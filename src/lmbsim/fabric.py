@@ -14,12 +14,13 @@ write.  Two arrangements are modeled:
 
 The same machine logic runs under an instant-responder harness (functional
 results, request traces) and under the cycle engine (timing).  Both therefore
-produce identical numerics: MemoryImage.read serves factor rows as float32
-views, and a commit multiplies the two rows into a per-machine float64
-buffer, which is exact (a float32 by float32 product fits a float64
-significand), then scales it by the value and adds it to the row's sum.  Sums
-start from zero, are carried in float64 in element order, and are rounded to
-float32 once per flush.
+produce identical numerics: MemoryImage.read serves a factor row that two or
+more elements read as a float64 copy and any other row as a float32 view,
+and a commit multiplies the two rows into a per-machine float64 buffer, which
+is exact whatever the pair (each holds a float32 value, and a float32 by
+float32 product fits a float64 significand), then scales it by the value and
+adds it to the row's sum.  Sums start from zero, are carried in float64 in
+element order, and are rounded to float32 once per flush.
 
 Each slot counts its arrivals (the element, then its two rows) and commits
 at three.  Each machine counts the slots whose element is here and that still
@@ -49,10 +50,19 @@ class ReqKind(enum.IntEnum):
     WRITE = 3  # output row store, rank * 4 bytes
 
 
-class MemoryRequest:
-    __slots__ = ("kind", "addr", "nbytes", "pe", "lmb", "tag", "sem")
+_ELEM, _ROW_D, _ROW_C, _WRITE = (ReqKind.ELEM, ReqKind.ROW_D, ReqKind.ROW_C,
+                                ReqKind.WRITE)
 
-    def __init__(self, kind, addr, nbytes, pe, tag, sem):
+
+class MemoryRequest:
+    """One request, and its issuer's record of it while it is in flight:
+    the slot its answer fills (none for a row store) and the port whose
+    count it holds, None once it has been answered."""
+
+    __slots__ = ("kind", "addr", "nbytes", "pe", "lmb", "tag", "sem", "slot",
+                 "port")
+
+    def __init__(self, kind, addr, nbytes, pe, tag, sem, slot=None, port=None):
         self.kind = kind
         self.addr = addr
         self.nbytes = nbytes
@@ -60,6 +70,8 @@ class MemoryRequest:
         self.lmb = 0
         self.tag = tag
         self.sem = sem  # semantic payload key, e.g. ("drow", j)
+        self.slot = slot
+        self.port = port
 
     def __repr__(self):
         return (f"MemoryRequest({self.kind.name}, addr={self.addr:#x}, "
@@ -176,7 +188,9 @@ class PeMachine:
     `ports` maps each category to (port index, pe id on requests).  type2
     uses one port for all categories; type1 splits element loads, row loads,
     and row stores onto three ports.  Each port issues at most one request
-    per cycle and holds at most `max_outstanding` in flight.
+    per cycle and holds at most `max_outstanding` in flight.  The machine
+    keeps no table of its requests in flight: each request carries the slot
+    its answer fills and its port, and `outstanding` counts them per port.
 
     `row_wait` counts the slots whose element has arrived and that still
     have a row to issue: a delivered element adds one, issuing its C row
@@ -197,7 +211,7 @@ class PeMachine:
 
     __slots__ = ("cfg", "hi", "next_z", "slots", "slot_cap",
                  "cur_i", "temp_y", "_prod", "acc_busy_until", "pending_flush",
-                 "inflight", "outstanding", "max_outstanding", "row_wait",
+                 "outstanding", "max_outstanding", "row_wait",
                  "_dispatch", "_write_port", "_fiber_port", "_elem_port",
                  "_row_bytes", "_d_base", "_c_base", "_out_base",
                  "_tensor_base", "_next_tag",
@@ -216,7 +230,6 @@ class PeMachine:
         self._prod = np.empty(cfg.rank, dtype=np.float64)  # one element's term
         self.acc_busy_until = 0
         self.pending_flush = None
-        self.inflight = {}
         self.max_outstanding = cfg.max_outstanding
         self.row_wait = 0
         self._write_port = ports[_CAT_WRITE][0]
@@ -244,24 +257,28 @@ class PeMachine:
 
     # -- response side -------------------------------------------------
 
-    def deliver(self, tag, payload):
-        """Apply one memory response; order within a cycle does not matter."""
-        try:
-            purpose, target, port = self.inflight.pop(tag)
-        except KeyError:
-            raise ProtocolError(f"response for unknown tag {tag}") from None
+    def deliver(self, req, payload):
+        """Apply the answer to one of this machine's requests; order within a
+        cycle does not matter.  Answering a request frees its port slot and
+        clears its port, so a second answer is refused."""
+        port = req.port
+        if port is None:
+            raise ProtocolError(f"second response for tag {req.tag}")
+        req.port = None
         self.outstanding[port] -= 1
-        if purpose == "elem":
-            target.i, target.j, target.k, target.val = payload
-            target.arrived = 1
+        kind = req.kind
+        slot = req.slot
+        if kind is _ELEM:
+            slot.i, slot.j, slot.k, slot.val = payload
+            slot.arrived = 1
             self.row_wait += 1
-        elif purpose == "drow":
-            target.d_row = payload
-            target.arrived += 1
-        elif purpose == "crow":
-            target.c_row = payload
-            target.arrived += 1
-        # writes need no payload; dropping the tag releases the port slot
+        elif kind is _ROW_D:
+            slot.d_row = payload
+            slot.arrived += 1
+        elif kind is _ROW_C:
+            slot.c_row = payload
+            slot.arrived += 1
+        # a write's answer carries nothing; freeing its port slot is all
         if not self.want_step:
             self.want_step = self._can_act()
 
@@ -280,7 +297,7 @@ class PeMachine:
                 self.pending_flush = (self.cur_i, self.temp_y.astype(np.float32))
                 self.temp_y.fill(0.0)
             self.cur_i = head.i
-            # float32 rows, multiplied exactly in float64
+            # float64 or float32 rows, multiplied exactly in float64
             prod = self._prod
             np.multiply(head.d_row, head.c_row, out=prod, dtype=np.float64)
             prod *= head.val
@@ -319,40 +336,37 @@ class PeMachine:
             if write_pe is not None and self.pending_flush is not None:
                 i, row = self.pending_flush
                 self.pending_flush = None
-                req = MemoryRequest(ReqKind.WRITE,
+                req = MemoryRequest(_WRITE,
                                     self._out_base + i * self._row_bytes,
                                     self._row_bytes, write_pe, tag,
-                                    ("out", i, row))
-                self.inflight[tag] = ("write", None, port)
+                                    ("out", i, row), None, port)
             elif fiber_pe is not None and self.row_wait:
                 for slot in self.slots:  # the lowest z with a row to issue
                     if slot.arrived and not slot.c_issued:
                         break
                 if not slot.d_issued:
                     slot.d_issued = True
-                    req = MemoryRequest(ReqKind.ROW_D,
+                    req = MemoryRequest(_ROW_D,
                                         self._d_base + slot.j * self._row_bytes,
                                         self._row_bytes, fiber_pe, tag,
-                                        ("drow", slot.j))
-                    self.inflight[tag] = ("drow", slot, port)
+                                        ("drow", slot.j), slot, port)
                 else:
                     slot.c_issued = True
                     self.row_wait -= 1
-                    req = MemoryRequest(ReqKind.ROW_C,
+                    req = MemoryRequest(_ROW_C,
                                         self._c_base + slot.k * self._row_bytes,
                                         self._row_bytes, fiber_pe, tag,
-                                        ("crow", slot.k))
-                    self.inflight[tag] = ("crow", slot, port)
+                                        ("crow", slot.k), slot, port)
             elif (elem_pe is not None and self.next_z < self.hi
                   and len(self.slots) < self.slot_cap):
                 z = self.next_z
                 self.next_z = z + 1
                 slot = _Slot()
                 self.slots.append(slot)
-                req = MemoryRequest(ReqKind.ELEM,
+                req = MemoryRequest(_ELEM,
                                     self._tensor_base + z * ELEMENT_BYTES,
-                                    ELEMENT_BYTES, elem_pe, tag, ("elem", z))
-                self.inflight[tag] = ("elem", slot, port)
+                                    ELEMENT_BYTES, elem_pe, tag, ("elem", z),
+                                    slot, port)
             else:
                 continue
             self._next_tag = tag + 1
@@ -391,7 +405,7 @@ class PeMachine:
         """True once every element is committed, flushed, and acknowledged."""
         return (self.next_z >= self.hi and not self.slots
                 and self.pending_flush is None and self.cur_i is None
-                and not self.inflight)
+                and not any(self.outstanding))
 
 
 def build_machines(cfg: FabricConfig, tensor: CooTensor, amap: AddressMap):
@@ -412,6 +426,25 @@ def build_machines(cfg: FabricConfig, tensor: CooTensor, amap: AddressMap):
     return machines
 
 
+class _FactorRows(dict):
+    """Row index -> row of one factor matrix.  It holds a float64 copy of
+    each row that two or more elements read, so a commit multiplies those
+    without a cast; any other row is served as a float32 view of the matrix,
+    made when it is asked for and not kept."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values, coords):
+        rows, counts = np.unique(coords, return_counts=True)
+        shared = rows[counts >= 2]
+        super().__init__(zip(shared.tolist(),
+                             values[shared].astype(np.float64)))
+        self.values = values
+
+    def __missing__(self, row):
+        return self.values[row]
+
+
 class MemoryImage:
     """Semantic backing store: serves payloads by meaning, not by address.
 
@@ -422,23 +455,24 @@ class MemoryImage:
 
     def __init__(self, tensor: CooTensor, d: FactorMatrix, c: FactorMatrix):
         self.tensor = tensor
-        self.d = d
-        self.c = c
         self.out = np.zeros((tensor.dims[0], d.rank), dtype=np.float32)
         self._written = set()
         # (i, j, k, val) per element, as Python numbers
         self._elements = list(zip(tensor.i.tolist(), tensor.j.tolist(),
                                   tensor.k.tolist(), tensor.vals.tolist()))
+        self._d_rows = _FactorRows(d.values, tensor.j)
+        self._c_rows = _FactorRows(c.values, tensor.k)
 
     def read(self, sem):
-        """An element as (i, j, k, val), or a factor row as a float32 view."""
+        """An element as (i, j, k, val), or a factor row: a float64 copy if
+        two or more elements read it, else a float32 view."""
         kind = sem[0]
         if kind == "elem":
             return self._elements[sem[1]]
         if kind == "drow":
-            return self.d.values[sem[1]]
+            return self._d_rows[sem[1]]
         if kind == "crow":
-            return self.c.values[sem[1]]
+            return self._c_rows[sem[1]]
         raise ProtocolError(f"read of non-readable payload {sem!r}")
 
     def write(self, sem):
@@ -487,28 +521,30 @@ def run_functional(tensor: CooTensor, d: FactorMatrix, c: FactorMatrix,
     amap = AddressMap.build(tensor.nnz, tensor.dims, cfg.rank)
     image = MemoryImage(tensor, d, c)
     machines = build_machines(cfg, tensor, amap)
-    pending = deque()  # (ready_cycle, machine, tag, payload)
+    pending = deque()  # (ready_cycle, the issuer's deliver, request, payload)
     now = 0
     guard = 0
     guard_limit = 100 * max(tensor.nnz, 1) + 10000
 
     def make_sink(mach):
+        deliver = mach.deliver
+
         def sink(req):
             if trace is not None:
                 trace.add(now, req)
-            if req.kind == ReqKind.WRITE:
+            if req.kind is _WRITE:
                 image.write(req.sem)
                 payload = None
             else:
                 payload = image.read(req.sem)
-            pending.append((now + 1, mach, req.tag, payload))
+            pending.append((now + 1, deliver, req, payload))
         return sink
 
     sinks = [(mach, make_sink(mach)) for mach in machines]
     while True:
         while pending and pending[0][0] <= now:
-            _, mach, tag, payload = pending.popleft()
-            mach.deliver(tag, payload)
+            _, deliver, req, payload = pending.popleft()
+            deliver(req, payload)
         active = False
         for mach, sink in sinks:
             # as in the engine: a machine without want_step cannot act, and

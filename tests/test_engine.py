@@ -330,9 +330,9 @@ def test_write_ack_reaches_the_fabric_in_the_cycle_it_is_pushed():
         pushed.append((now, sim.wake))
         respond(req, now)
 
-    def spy_deliver(tag, payload):
+    def spy_deliver(req, payload):
         delivered.append(sim._now)
-        deliver(tag, payload)
+        deliver(req, payload)
 
     lmb._respond, player.deliver = spy_respond, spy_deliver
     sim.run()

@@ -149,21 +149,75 @@ def signed_zero_factors(d, c):
     return FactorMatrix(d.rows, d.rank, dv), FactorMatrix(c.rows, c.rank, cv)
 
 
+def row_pairs(t):
+    """The (D row shared, C row shared) pairs that t's elements multiply: a
+    shared row, one that two or more elements read, is served in float64,
+    any other row in float32."""
+    shared_d = np.bincount(t.j)[t.j] >= 2
+    shared_c = np.bincount(t.k)[t.k] >= 2
+    return set(zip(shared_d.tolist(), shared_c.tolist()))
+
+
 @pytest.mark.parametrize("fabric_type", ["type1", "type2"])
 @pytest.mark.parametrize("rank", [2, 8, 32])
 def test_functional_matches_oracle_bitexact(fabric_type, rank):
-    t = sorted_tensor((12, 9, 14), 150, seed=rank)
-    d = FactorMatrix.random(9, rank, seed=3)
-    c = FactorMatrix.random(14, rank, seed=4)
     cfg = FabricConfig(fabric_type=fabric_type, pe_count=4, rank=rank)
-    for d_in, c_in in ((d, c), signed_zero_factors(d, c)):
-        got = run_functional(t, d_in, c_in, cfg)
-        want = mttkrp_oracle(t, d_in, c_in)
-        # same zero-started, in-order float64 sum per row as the oracle, so
-        # the bits agree, the sign of every zero included
-        assert got.values.tobytes() == want.values.tobytes()
-    # the signed-zero run's column 0 sums only -0.0 products
-    assert not np.signbit(got.values[np.unique(t.i), 0]).any()
+    # 150 elements on 9 and 14 rows share every row; on 400 and 300 rows
+    # most rows are read once, so every kind of pair is multiplied
+    for dims, pairs in (((12, 9, 14), {(True, True)}),
+                        ((12, 400, 300), {(True, True), (True, False),
+                                          (False, True), (False, False)})):
+        t = sorted_tensor(dims, 150, seed=rank)
+        assert row_pairs(t) == pairs
+        d = FactorMatrix.random(dims[1], rank, seed=3)
+        c = FactorMatrix.random(dims[2], rank, seed=4)
+        for d_in, c_in in ((d, c), signed_zero_factors(d, c)):
+            got = run_functional(t, d_in, c_in, cfg)
+            want = mttkrp_oracle(t, d_in, c_in)
+            # same zero-started, in-order float64 sum per row as the oracle,
+            # so the bits agree, the sign of every zero included
+            assert got.values.tobytes() == want.values.tobytes()
+        # the signed-zero run's column 0 sums only -0.0 products
+        assert not np.signbit(got.values[np.unique(t.i), 0]).any()
+
+
+def test_memory_image_copies_exactly_the_shared_rows():
+    t = sorted_tensor((12, 400, 300), 150, seed=2)
+    d, c = signed_zero_factors(FactorMatrix.random(400, 8, seed=3),
+                               FactorMatrix.random(300, 8, seed=4))
+    img = MemoryImage(t, d, c)
+    for kind, factor, coords in (("drow", d, t.j), ("crow", c, t.k)):
+        reads = np.bincount(coords, minlength=factor.rows)
+        assert 0 < (reads >= 2).sum() < (reads < 2).sum()
+        for r in range(factor.rows):
+            row = img.read((kind, r))
+            want = factor.values[r]
+            if reads[r] >= 2:
+                # a float64 copy holding the float32 row's values bit for bit
+                assert row.dtype == np.float64
+                assert not np.shares_memory(row, factor.values)
+                assert row.tobytes() == want.astype(np.float64).tobytes()
+            else:
+                # a view made when asked for: nothing is copied
+                assert row.dtype == np.float32
+                assert np.shares_memory(row, factor.values)
+                assert row.tobytes() == want.tobytes()
+
+
+def test_a_second_answer_to_a_request_is_refused():
+    t = sorted_tensor((4, 4, 4), 8, seed=0)
+    d, c = FactorMatrix.random(4, 2, seed=1), FactorMatrix.random(4, 2, seed=2)
+    cfg = FabricConfig(fabric_type="type1", rank=2)
+    (m,) = build_machines(cfg, t, AddressMap.build(t.nnz, t.dims, 2))
+    issued = []
+    m.step(0, issued.append)
+    (req,) = issued  # the first element load, nothing else can issue yet
+    payload = MemoryImage(t, d, c).read(req.sem)
+    m.deliver(req, payload)
+    assert m.outstanding == [0, 0, 0]
+    with pytest.raises(ProtocolError, match="second response"):
+        m.deliver(req, payload)
+    assert m.outstanding == [0, 0, 0]
 
 
 def test_functional_empty_tensor():

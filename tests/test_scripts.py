@@ -122,3 +122,31 @@ def test_bench_pairs_refuses_a_run_that_is_not_correct(monkeypatch):
         last.update(bad)
         with pytest.raises(SystemExit, match="not correct"):
             pairs.run_once(".", "grid-clustered", 0, 1)
+
+
+@pytest.mark.parametrize("change_wall_s, verdict, code", [
+    (1.0, "same", 0),
+    (1.3, "worse", 1),  # behind by 30% against a bound of 25%
+])
+def test_bench_pairs_exits_1_when_a_metric_is_worse(monkeypatch, capsys,
+                                                    change_wall_s, verdict,
+                                                    code):
+    pairs = _load("bench_pairs")
+    with open(os.path.join(pairs.ROOT, "BENCHMARK.json"),
+              encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["end_to_end"]]
+
+    def run_once(checkout, workload, seed, seconds):
+        values = dict.fromkeys(names, 1.0)
+        if checkout == "change":
+            values["wall_s"] = change_wall_s
+        return values
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    assert pairs.main(["parent", "change", "--workload", "cpd-fabric",
+                       "--pairs", "3"]) == code
+    verdicts = {f[0]: f[-1] for f in (line.split() for line in
+                                      capsys.readouterr().out.splitlines())
+                if f[0] in names}
+    assert verdicts == {name: verdict if name == "wall_s" else "same"
+                        for name in names}
