@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -120,6 +121,19 @@ def _flatten(obj, prefix=""):
     return rows
 
 
+def _write_output(path, text):
+    """Write `text` to the file at `path`, or to stdout when there is none.
+    A path that cannot be written is bad input: a DataError naming it."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
+
+
 def _emit_report(report, out_format, out_path):
     if out_format == "csv":
         lines = ["key,value"]
@@ -127,11 +141,7 @@ def _emit_report(report, out_format, out_path):
         text = "\n".join(lines) + "\n"
     else:
         text = report_to_json(report) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(out_path, text)
 
 
 def _emit_rows(rows, columns, out_format, out_path):
@@ -142,11 +152,7 @@ def _emit_rows(rows, columns, out_format, out_path):
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(rows, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(out_path, text)
 
 
 def _trace_record_problem(rec, tags, system):
@@ -207,10 +213,11 @@ def cmd_gen(args):
     built = cfgmod.build(settings)
     tensor = gen_synthetic(built.gen)
     binary = args.binary or args.out.endswith((".bin", ".coob"))
-    if binary:
-        tensor_io.save_binary(tensor, args.out)
-    else:
-        tensor_io.save_text(tensor, args.out)
+    save = tensor_io.save_binary if binary else tensor_io.save_text
+    try:
+        save(tensor, args.out)
+    except OSError as exc:
+        raise DataError(f"cannot write {args.out}: {exc}") from None
     _note(f"wrote {tensor.nnz} elements to {args.out} "
           f"({'binary' if binary else 'text'})")
     cells = tensor.dims[0] * tensor.dims[1] * tensor.dims[2]
@@ -241,8 +248,9 @@ def cmd_run(args):
                          trace=trace, effective_config=flat,
                          workload_name=name)
     if trace is not None:
-        with open(built.trace_path, "w", encoding="utf-8") as fh:
-            trace.dump(fh)
+        buf = io.StringIO()
+        trace.dump(buf)
+        _write_output(built.trace_path, buf.getvalue())
         _note(f"wrote {len(trace)} trace records to {built.trace_path}")
     if built.verify:
         _note("verify: simulated output matches the reference computation")
@@ -330,8 +338,7 @@ def _write_plot_script(script_path, csv_path):
         "xticlabels(sprintf('%s r%s %s', "
         "stringcolumn(1), stringcolumn(2), stringcolumn(3)))",
     ]) + "\n"
-    with open(script_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_output(script_path, text)
 
 
 # cycles must fall strictly in this order for the ordering column to PASS

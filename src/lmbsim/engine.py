@@ -26,9 +26,12 @@ beat per row); the derivation is walked through in the acceptance tests.
 
 Requests issue from PE machines as in the functional harness (identical
 numerics) and flow to one memory block chosen by pe modulo the block count.
-The Simulator's tag table maps each tag in flight to its workload, the
-request and its issue cycle, and hands an answer to that workload's deliver
-together with the request.
+The memory side moves timing only: a block answers a request by handing the
+request itself back, and the PE machines read and write the data.  The
+request is its own in-flight record: the Simulator's sink stamps it with its
+workload's index (`src`) and its issue cycle (`issued`), and an answer goes
+to that workload's deliver and clears `issued`, so a second answer to one
+request is refused.  Tags name requests only in traces and error messages.
 
 The engine steps every component once per loop iteration.  The DRAM, the
 router and each block keep a `wake` cycle, and a step below it is a no-op:
@@ -159,23 +162,14 @@ class Router:
         return self.wake
 
 
-class NullImage:
-    """Payload store for trace replay: timing only, no data."""
-
-    def read(self, sem):
-        return None
-
-    def write(self, sem):
-        return None
-
-
 class TracePlayer:
     """Replays a recorded request stream open loop at its original cycles.
 
     The memory side is a deterministic function of its input schedule, so a
-    replay reproduces the original memory-side timeline exactly.  The player
-    keeps no record of its requests in flight: the Simulator's tag table
-    holds every one, and the run is not done until it is empty.
+    replay reproduces the original memory-side timeline exactly.  It moves
+    no data, and the player keeps no record of its requests in flight: each
+    request is its own record, and the run is not done until every block has
+    answered all it accepted.
     """
 
     want_step = True  # step whenever the engine advances; records gate inside
@@ -188,7 +182,7 @@ class TracePlayer:
         self.first_cycle = None
         self.last_cycle = 0
 
-    def deliver(self, req, payload):
+    def deliver(self, req):
         pass
 
     def step(self, now, sink):
@@ -196,8 +190,7 @@ class TracePlayer:
         while self._pos < len(self.records) and self.records[self._pos][0] <= now:
             cycle, kind, lmb, pe, addr, nbytes, tag = self.records[self._pos]
             self._pos += 1
-            req = MemoryRequest(ReqKind[kind.upper()], addr, nbytes, pe, tag,
-                                None)
+            req = MemoryRequest(ReqKind[kind.upper()], addr, nbytes, pe, tag)
             req.lmb = lmb
             self.issue_count += 1
             if self.first_cycle is None:
@@ -232,13 +225,13 @@ class Simulator:
     """One timed run: a workload (PE machines or a trace player), a set of
     memory blocks, a router, and the DRAM."""
 
-    def __init__(self, syscfg: SystemConfig, image, workloads,
+    def __init__(self, syscfg: SystemConfig, workloads,
                  trace: RequestTrace | None = None, route_by_pe=True):
         self.cfg = syscfg
         self.workloads = workloads
         self.trace = trace
         self.route_by_pe = route_by_pe
-        self.lmbs = [Lmb(i, syscfg.lmb, image) for i in range(syscfg.num_lmbs)]
+        self.lmbs = [Lmb(i, syscfg.lmb) for i in range(syscfg.num_lmbs)]
         self.dram = Dram(syscfg.dram)
         self.router = Router(self.lmbs, self.dram)
         # the wires toward the fabric; a push onto an empty one lowers wake
@@ -248,7 +241,6 @@ class Simulator:
         self.wake = INF  # _fabric_step scans the wires from this cycle on
         # indices of the workloads with want_step set, in index order
         self._armed = [i for i, w in enumerate(workloads) if w.want_step]
-        self._inflight = {}
         self._latencies = {k: [] for k in ReqKind}
         self.total_cycles = 0
         self._now = 0
@@ -263,7 +255,8 @@ class Simulator:
                 raise ConfigurationError(
                     f"request targets block {req.lmb}, only "
                     f"{self.cfg.num_lmbs} configured")
-            self._inflight[req.tag] = (w_i, req, now)
+            req.src = w_i
+            req.issued = now
             if self.trace is not None:
                 self.trace.add(now, req)
             self.lmbs[req.lmb].accept(req, now)
@@ -278,15 +271,16 @@ class Simulator:
             wake = INF
             for wire in self._to_fabric:
                 while wire and wire[0][0] <= now:
-                    tag, payload = wire.popleft()[1]
-                    try:
-                        w_i, req, issued = self._inflight.pop(tag)
-                    except KeyError:
+                    req = wire.popleft()[1]
+                    issued = req.issued
+                    if issued is None:
                         raise ProtocolError(
-                            f"response for unknown tag {tag}") from None
+                            f"second response for tag {req.tag}")
+                    req.issued = None
                     self._latencies[req.kind].append(now - issued)
+                    w_i = req.src
                     w = workloads[w_i]
-                    w.deliver(req, payload)
+                    w.deliver(req)
                     # a delivery may set want_step: then re-arm the workload
                     if w.want_step and w_i not in armed:
                         insort(armed, w_i)
@@ -310,8 +304,7 @@ class Simulator:
     def _done(self):
         return (all(w.idle() for w in self.workloads)
                 and all(l.drained() for l in self.lmbs)
-                and self.dram.idle()
-                and not self._inflight)
+                and self.dram.idle())
 
     def _next_event(self, now):
         nxt = self.dram.next_event(now)
@@ -331,7 +324,6 @@ class Simulator:
             lines.append(f"block {lmb.lmb_id}: drained={lmb.drained()} "
                          f"stats={lmb.stats}")
         lines.append(f"dram idle={self.dram.idle()} stats={self.dram.stats}")
-        lines.append(f"inflight tags: {sorted(self._inflight)[:20]}")
         return "\n".join(lines)
 
     def run(self):
@@ -452,8 +444,8 @@ def simulate(tensor, d, c, syscfg: SystemConfig, verify=False,
             f"the layout's {amap.end} bytes do not fit the {bits}-bit "
             "address space")
     image = MemoryImage(tensor, d, c)
-    machines = build_machines(syscfg.fabric, tensor, amap)
-    sim = Simulator(syscfg, image, machines, trace=trace)
+    machines = build_machines(syscfg.fabric, tensor, amap, image)
+    sim = Simulator(syscfg, machines, trace=trace)
     sim.run()
     out = image.result(syscfg.fabric.rank)
     if verify:
@@ -478,7 +470,7 @@ def simulate(tensor, d, c, syscfg: SystemConfig, verify=False,
 def replay_trace(records, syscfg: SystemConfig, effective_config=None):
     """Timing-only replay of a request trace through the memory system."""
     player = TracePlayer(records)
-    sim = Simulator(syscfg, NullImage(), [player], route_by_pe=False)
+    sim = Simulator(syscfg, [player], route_by_pe=False)
     sim.run()
     extra = {
         "workload": {

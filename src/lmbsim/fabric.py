@@ -13,16 +13,21 @@ write.  Two arrangements are modeled:
          elements and a single memory port.
 
 The same machine logic runs under an instant-responder harness (functional
-results, request traces) and under the cycle engine (timing).  Both therefore
-produce identical numerics: MemoryImage.read serves a factor row that two or
-more elements read as a float64 copy and any other row as a float32 view,
-and a commit multiplies the two rows into a per-machine float64 buffer, which
-is exact whatever the pair (each holds a float32 value, and a float32 by
-float32 product fits a float64 significand), then scales it by the value and
-adds it to the row's sum.  Sums start from zero, are carried in float64 in
-element order, and are rounded to float32 once per flush.
+results, request traces) and under the cycle engine (timing).  The memory
+side moves timing only: a request carries no data, and its answer is the
+request itself.  Each machine reads and writes the data in the MemoryImage
+on its own: an answered element load reads the element record its slot
+names, a commit reads the slot's two factor rows, and issuing a row store
+writes the output row.  Both runs therefore produce identical numerics: the
+image serves a factor row that two or more elements read as a float64 copy
+and any other row as a float32 view, and a commit multiplies the two rows
+into a per-machine float64 buffer, which is exact whatever the pair (each
+holds a float32 value, and a float32 by float32 product fits a float64
+significand), then scales it by the value and adds it to the row's sum.
+Sums start from zero, are carried in float64 in element order, and are
+rounded to float32 once per flush.
 
-Each slot counts its arrivals (the element, then its two rows) and commits
+Each slot counts its answers (the element, then its two rows) and commits
 at three.  Each machine counts the slots whose element is here and that still
 have a row to issue, so asking whether a row load waits costs no scan.
 """
@@ -55,23 +60,28 @@ _ELEM, _ROW_D, _ROW_C, _WRITE = (ReqKind.ELEM, ReqKind.ROW_D, ReqKind.ROW_C,
 
 
 class MemoryRequest:
-    """One request, and its issuer's record of it while it is in flight:
-    the slot its answer fills (none for a row store) and the port whose
-    count it holds, None once it has been answered."""
+    """One request, and the one record of it from issue to answer.
 
-    __slots__ = ("kind", "addr", "nbytes", "pe", "lmb", "tag", "sem", "slot",
-                 "port")
+    The issuer's part: the slot its answer fills (none for a row store) and
+    the port whose count it holds, None once it has been answered.  The
+    engine's part, stamped when it is issued: `src`, the index of the
+    workload that issued it, and `issued`, its issue cycle, None once it
+    has been answered.  The tag names it in traces and error messages.
+    """
 
-    def __init__(self, kind, addr, nbytes, pe, tag, sem, slot=None, port=None):
+    __slots__ = ("kind", "addr", "nbytes", "pe", "lmb", "tag", "slot", "port",
+                 "src", "issued")
+
+    def __init__(self, kind, addr, nbytes, pe, tag, slot=None, port=None):
         self.kind = kind
         self.addr = addr
         self.nbytes = nbytes
         self.pe = pe
         self.lmb = 0
         self.tag = tag
-        self.sem = sem  # semantic payload key, e.g. ("drow", j)
         self.slot = slot
         self.port = port
+        self.src = self.issued = None
 
     def __repr__(self):
         return (f"MemoryRequest({self.kind.name}, addr={self.addr:#x}, "
@@ -165,17 +175,15 @@ class FabricConfig:
 class _Slot:
     """One element in flight; a machine's slots are in element order."""
 
-    __slots__ = ("i", "j", "k", "val", "arrived", "d_issued", "c_issued",
-                 "d_row", "c_row")
+    __slots__ = ("z", "i", "j", "k", "val", "arrived", "d_issued", "c_issued")
 
-    def __init__(self):
+    def __init__(self, z):
+        self.z = z  # the element's index; its coordinates come with its answer
         self.i = self.j = self.k = -1
         self.val = 0.0
         self.arrived = 0  # the element, then its two rows: complete at 3
         self.d_issued = False
         self.c_issued = False
-        self.d_row = None
-        self.c_row = None
 
 
 # Port issue categories in fixed priority order.
@@ -191,6 +199,8 @@ class PeMachine:
     per cycle and holds at most `max_outstanding` in flight.  The machine
     keeps no table of its requests in flight: each request carries the slot
     its answer fills and its port, and `outstanding` counts them per port.
+    The data comes from `image`, not from the answers: see the module
+    docstring.
 
     `row_wait` counts the slots whose element has arrived and that still
     have a row to issue: a delivered element adds one, issuing its C row
@@ -215,11 +225,12 @@ class PeMachine:
                  "_dispatch", "_write_port", "_fiber_port", "_elem_port",
                  "_row_bytes", "_d_base", "_c_base", "_out_base",
                  "_tensor_base", "_next_tag",
+                 "_elements", "_d_rows", "_c_rows", "_image",
                  "issue_count", "accum_busy_cycles", "first_cycle", "last_cycle",
                  "want_step")
 
     def __init__(self, cfg: FabricConfig, lo, hi, amap: AddressMap, ports,
-                 tag_base=0):
+                 image, tag_base=0):
         self.cfg = cfg
         self.hi = hi
         self.next_z = lo
@@ -249,6 +260,10 @@ class PeMachine:
         self._c_base = amap.c_base
         self._out_base = amap.out_base
         self._next_tag = tag_base
+        self._image = image
+        self._elements = image.elements
+        self._d_rows = image.d_rows
+        self._c_rows = image.c_rows
         self.issue_count = 0
         self.accum_busy_cycles = 0
         self.first_cycle = None
@@ -257,7 +272,7 @@ class PeMachine:
 
     # -- response side -------------------------------------------------
 
-    def deliver(self, req, payload):
+    def deliver(self, req):
         """Apply the answer to one of this machine's requests; order within a
         cycle does not matter.  Answering a request frees its port slot and
         clears its port, so a second answer is refused."""
@@ -266,19 +281,13 @@ class PeMachine:
             raise ProtocolError(f"second response for tag {req.tag}")
         req.port = None
         self.outstanding[port] -= 1
-        kind = req.kind
         slot = req.slot
-        if kind is _ELEM:
-            slot.i, slot.j, slot.k, slot.val = payload
+        if req.kind is _ELEM:
+            slot.i, slot.j, slot.k, slot.val = self._elements[slot.z]
             slot.arrived = 1
             self.row_wait += 1
-        elif kind is _ROW_D:
-            slot.d_row = payload
+        elif slot is not None:  # a row; a row store's answer frees its port
             slot.arrived += 1
-        elif kind is _ROW_C:
-            slot.c_row = payload
-            slot.arrived += 1
-        # a write's answer carries nothing; freeing its port slot is all
         if not self.want_step:
             self.want_step = self._can_act()
 
@@ -299,7 +308,8 @@ class PeMachine:
             self.cur_i = head.i
             # float64 or float32 rows, multiplied exactly in float64
             prod = self._prod
-            np.multiply(head.d_row, head.c_row, out=prod, dtype=np.float64)
+            np.multiply(self._d_rows[head.j], self._c_rows[head.k], out=prod,
+                        dtype=np.float64)
             prod *= head.val
             self.temp_y += prod
             self.slots.popleft()
@@ -336,10 +346,10 @@ class PeMachine:
             if write_pe is not None and self.pending_flush is not None:
                 i, row = self.pending_flush
                 self.pending_flush = None
+                self._image.write(i, row)
                 req = MemoryRequest(_WRITE,
                                     self._out_base + i * self._row_bytes,
-                                    self._row_bytes, write_pe, tag,
-                                    ("out", i, row), None, port)
+                                    self._row_bytes, write_pe, tag, None, port)
             elif fiber_pe is not None and self.row_wait:
                 for slot in self.slots:  # the lowest z with a row to issue
                     if slot.arrived and not slot.c_issued:
@@ -348,25 +358,24 @@ class PeMachine:
                     slot.d_issued = True
                     req = MemoryRequest(_ROW_D,
                                         self._d_base + slot.j * self._row_bytes,
-                                        self._row_bytes, fiber_pe, tag,
-                                        ("drow", slot.j), slot, port)
+                                        self._row_bytes, fiber_pe, tag, slot,
+                                        port)
                 else:
                     slot.c_issued = True
                     self.row_wait -= 1
                     req = MemoryRequest(_ROW_C,
                                         self._c_base + slot.k * self._row_bytes,
-                                        self._row_bytes, fiber_pe, tag,
-                                        ("crow", slot.k), slot, port)
+                                        self._row_bytes, fiber_pe, tag, slot,
+                                        port)
             elif (elem_pe is not None and self.next_z < self.hi
                   and len(self.slots) < self.slot_cap):
                 z = self.next_z
                 self.next_z = z + 1
-                slot = _Slot()
+                slot = _Slot(z)
                 self.slots.append(slot)
                 req = MemoryRequest(_ELEM,
                                     self._tensor_base + z * ELEMENT_BYTES,
-                                    ELEMENT_BYTES, elem_pe, tag, ("elem", z),
-                                    slot, port)
+                                    ELEMENT_BYTES, elem_pe, tag, slot, port)
             else:
                 continue
             self._next_tag = tag + 1
@@ -408,20 +417,22 @@ class PeMachine:
                 and not any(self.outstanding))
 
 
-def build_machines(cfg: FabricConfig, tensor: CooTensor, amap: AddressMap):
-    """Instantiate the PE machines and their element ranges."""
+def build_machines(cfg: FabricConfig, tensor: CooTensor, amap: AddressMap,
+                   image):
+    """Instantiate the PE machines and their element ranges; each reads and
+    writes its data in `image`, the MemoryImage of `tensor`."""
     if not tensor.mode_sorted():
         raise ConfigurationError("fabric requires elements sorted by (i, j, k); "
                                  "sort the tensor first")
     machines = []
     if cfg.fabric_type == "type1":
         ports = {_CAT_ELEM: (0, 0), _CAT_FIBER: (1, 1), _CAT_WRITE: (2, 2)}
-        machines.append(PeMachine(cfg, 0, tensor.nnz, amap, ports, tag_base=0))
+        machines.append(PeMachine(cfg, 0, tensor.nnz, amap, ports, image))
     else:
         ranges = partition_nonzeros(tensor.i, cfg.pe_count)
         for m, (lo, hi) in enumerate(ranges):
             ports = {_CAT_ELEM: (0, m), _CAT_FIBER: (0, m), _CAT_WRITE: (0, m)}
-            machines.append(PeMachine(cfg, lo, hi, amap, ports,
+            machines.append(PeMachine(cfg, lo, hi, amap, ports, image,
                                       tag_base=m << 32))
     return machines
 
@@ -446,43 +457,29 @@ class _FactorRows(dict):
 
 
 class MemoryImage:
-    """Semantic backing store: serves payloads by meaning, not by address.
+    """The data the PE machines read and write, kept apart from the timing
+    models, which move addressed bytes and no data.
 
-    The timing models move addressed bytes; payload content rides along via
-    each request's `sem` key.  Writes land whole rows, each output row exactly
-    once per run.
+    `elements` holds each element as (i, j, k, val) in Python numbers;
+    `d_rows` and `c_rows` serve a factor row by index, a float64 copy if two
+    or more elements read it, else a float32 view.  Writes land whole output
+    rows, each exactly once per run.
     """
 
     def __init__(self, tensor: CooTensor, d: FactorMatrix, c: FactorMatrix):
         self.tensor = tensor
         self.out = np.zeros((tensor.dims[0], d.rank), dtype=np.float32)
         self._written = set()
-        # (i, j, k, val) per element, as Python numbers
-        self._elements = list(zip(tensor.i.tolist(), tensor.j.tolist(),
-                                  tensor.k.tolist(), tensor.vals.tolist()))
-        self._d_rows = _FactorRows(d.values, tensor.j)
-        self._c_rows = _FactorRows(c.values, tensor.k)
+        self.elements = list(zip(tensor.i.tolist(), tensor.j.tolist(),
+                                 tensor.k.tolist(), tensor.vals.tolist()))
+        self.d_rows = _FactorRows(d.values, tensor.j)
+        self.c_rows = _FactorRows(c.values, tensor.k)
 
-    def read(self, sem):
-        """An element as (i, j, k, val), or a factor row: a float64 copy if
-        two or more elements read it, else a float32 view."""
-        kind = sem[0]
-        if kind == "elem":
-            return self._elements[sem[1]]
-        if kind == "drow":
-            return self._d_rows[sem[1]]
-        if kind == "crow":
-            return self._c_rows[sem[1]]
-        raise ProtocolError(f"read of non-readable payload {sem!r}")
-
-    def write(self, sem):
-        if sem[0] != "out":
-            raise ProtocolError(f"write of non-writable payload {sem!r}")
-        i = sem[1]
+    def write(self, i, row):
         if i in self._written:
             raise ProtocolError(f"output row {i} written twice")
         self._written.add(i)
-        self.out[i] = sem[2]
+        self.out[i] = row
 
     def result(self, rank):
         return FactorMatrix(self.tensor.dims[0], rank, self.out)
@@ -520,8 +517,8 @@ def run_functional(tensor: CooTensor, d: FactorMatrix, c: FactorMatrix,
         raise ConfigurationError("fabric rank differs from factor rank")
     amap = AddressMap.build(tensor.nnz, tensor.dims, cfg.rank)
     image = MemoryImage(tensor, d, c)
-    machines = build_machines(cfg, tensor, amap)
-    pending = deque()  # (ready_cycle, the issuer's deliver, request, payload)
+    machines = build_machines(cfg, tensor, amap, image)
+    pending = deque()  # (ready_cycle, the issuer's deliver, request)
     now = 0
     guard = 0
     guard_limit = 100 * max(tensor.nnz, 1) + 10000
@@ -532,19 +529,14 @@ def run_functional(tensor: CooTensor, d: FactorMatrix, c: FactorMatrix,
         def sink(req):
             if trace is not None:
                 trace.add(now, req)
-            if req.kind is _WRITE:
-                image.write(req.sem)
-                payload = None
-            else:
-                payload = image.read(req.sem)
-            pending.append((now + 1, deliver, req, payload))
+            pending.append((now + 1, deliver, req))
         return sink
 
     sinks = [(mach, make_sink(mach)) for mach in machines]
     while True:
         while pending and pending[0][0] <= now:
-            _, deliver, req, payload = pending.popleft()
-            deliver(req, payload)
+            _, deliver, req = pending.popleft()
+            deliver(req)
         active = False
         for mach, sink in sinks:
             # as in the engine: a machine without want_step cannot act, and

@@ -57,8 +57,12 @@ nothing waits behind a full pipe.
 
 drained() checks that every wire, stage, queue and fetch slot is empty and
 that every request the block accepted has been answered (requests ==
-responses); the engine's unknown-tag ProtocolError rules out a second
+responses); the engine's second-answer ProtocolError rules out a second
 answer to one request hiding a missing answer to another.
+
+The block carries no data: it answers a request by pushing the request
+itself toward the fabric, whose PE machines read and write the data (see
+fabric.py).
 
 Timing contract: every arrow between stages is a 1-cycle timestamped wire.
 Within a cycle an Lmb first applies responses from memory, then advances the
@@ -321,7 +325,7 @@ class RrshTable:
 
 
 class CacheArray:
-    """Tag-only LRU array; payload content always comes from the image.
+    """Tag-only LRU array: the memory side holds no data.
 
     A set lists its lines MRU last; the block's lookup pipe reads and
     refreshes the sets in place.
@@ -456,10 +460,9 @@ class DmaEngine:
 class Lmb:
     """One memory block; its mode picks how the shared parts are wired."""
 
-    def __init__(self, lmb_id, cfg: LmbConfig, image):
+    def __init__(self, lmb_id, cfg: LmbConfig):
         self.lmb_id = lmb_id
         self.cfg = cfg
-        self.image = image
         self.mode = mode = cfg.mode
         self.wake = INF       # step is a no-op before this cycle
         self._wait_from = None  # first cycle the pipe head found no miss slot
@@ -545,13 +548,10 @@ class Lmb:
     # -- responses to the fabric -----------------------------------------
 
     def _respond(self, req, now):
-        """Read data takes a hop; write acks are same-cycle credit pulses."""
+        """The answer is the request itself: a read's takes the data hop, a
+        write ack is a same-cycle credit pulse."""
         self.stats["responses"] += 1
-        if req.kind == ReqKind.WRITE:
-            self.image.write(req.sem)
-            self.to_fabric.push(now, (req.tag, None))
-        else:
-            self.to_fabric.push(now + 1, (req.tag, self.image.read(req.sem)))
+        self.to_fabric.push(now if req.kind is ReqKind.WRITE else now + 1, req)
 
     # -- answers from memory: each beat names its handler -------------------
 

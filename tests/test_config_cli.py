@@ -400,6 +400,28 @@ def test_cli_sweep_plot_script(tmp_path):
                  "--plot-script", str(script)]) == 2
 
 
+_SMALL = ["--set", "tensor.dims=8 8 8", "--set", "tensor.nnz=20"]
+_SWEEP = ["sweep", *_SMALL, "--set", "sweep.ranks=2",
+          "--set", "sweep.modes=proposed ip-only", "--format", "csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", *_SMALL, "--out", "{bad}"],
+    ["run", *_SMALL, "--rank", "2", "--out", "{bad}"],
+    ["run", *_SMALL, "--rank", "2", "--trace-out", "{bad}"],
+    [*_SWEEP, "--out", "{bad}"],
+    [*_SWEEP, "--out", "{ok}", "--plot-script", "{bad}"],
+], ids=["gen-out", "run-out", "run-trace-out", "sweep-out",
+        "sweep-plot-script"])
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, argv):
+    bad = tmp_path / "missing" / "x.txt"
+    argv = [a.format(bad=bad, ok=tmp_path / "ok.csv") for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}: ")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_cli_sweep_rejects_unknown_mode(tmp_path):
     assert main(["sweep", "--set", "sweep.modes=warp"]) == 2
 

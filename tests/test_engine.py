@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lmbsim.dram import Dram, DramConfig
-from lmbsim.engine import (NullImage, Router, Simulator, SystemConfig,
-                           TracePlayer, _percentiles, replay_trace,
-                           report_to_json, simulate, verify_output)
-from lmbsim.errors import ConfigurationError, DeadlockError, VerificationError
+from lmbsim.engine import (Router, Simulator, SystemConfig, TracePlayer,
+                           _percentiles, replay_trace, report_to_json,
+                           simulate, verify_output)
+from lmbsim.errors import (ConfigurationError, DeadlockError, ProtocolError,
+                           VerificationError)
 from lmbsim.fabric import FabricConfig, RequestTrace, run_functional
 from lmbsim.memsys import (MODES, CacheConfig, DmaConfig, DmaEngine, Lmb,
                            LmbConfig, MshrConfig, RrshConfig, _Cursor)
@@ -320,8 +321,7 @@ def test_done_is_checked_only_on_iterations_that_moved_nothing(monkeypatch):
 
 def test_write_ack_reaches_the_fabric_in_the_cycle_it_is_pushed():
     player = TracePlayer([(0, "write", 0, 0, 0, 64, 7)])
-    sim = Simulator(system(mode="dma-only"), NullImage(), [player],
-                    route_by_pe=False)
+    sim = Simulator(system(mode="dma-only"), [player], route_by_pe=False)
     lmb = sim.lmbs[0]
     pushed, delivered = [], []
     respond, deliver = lmb._respond, player.deliver
@@ -330,9 +330,9 @@ def test_write_ack_reaches_the_fabric_in_the_cycle_it_is_pushed():
         pushed.append((now, sim.wake))
         respond(req, now)
 
-    def spy_deliver(req, payload):
+    def spy_deliver(req):
         delivered.append(sim._now)
-        deliver(req, payload)
+        deliver(req)
 
     lmb._respond, player.deliver = spy_respond, spy_deliver
     sim.run()
@@ -340,6 +340,24 @@ def test_write_ack_reaches_the_fabric_in_the_cycle_it_is_pushed():
     assert wake_before > ack_cycle   # the fabric side was asleep
     assert delivered == [ack_cycle]  # and the push woke it in the same cycle
     assert sim.report()["requests"]["write"]["max"] == ack_cycle
+
+
+@pytest.mark.parametrize("kind", ["elem", "write"])
+def test_a_second_answer_from_a_block_is_refused(kind):
+    # a trace player keeps no record of its requests, so only the engine's
+    # check on the request itself can refuse the second answer
+    player = TracePlayer([(0, kind, 0, 0, 0, 16, 7)])
+    sim = Simulator(system(mode="dma-only"), [player], route_by_pe=False)
+    lmb = sim.lmbs[0]
+    respond = lmb._respond
+
+    def respond_twice(req, now):
+        respond(req, now)
+        respond(req, now)
+
+    lmb._respond = respond_twice
+    with pytest.raises(ProtocolError, match="second response for tag 7"):
+        sim.run()
 
 
 def _small_run(mode, dims, nnz, seed, fabric_type, pe_count, max_outstanding,
@@ -703,7 +721,7 @@ def test_engine_gives_up_when_work_remains_without_pending_events():
         def idle(self):
             return False
 
-    sim = Simulator(system(), NullImage(), [NeverIdle()])
+    sim = Simulator(system(), [NeverIdle()])
     with pytest.raises(DeadlockError) as info:
         sim.run()
     assert str(info.value) == "no pending events but work remains"

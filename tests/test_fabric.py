@@ -10,8 +10,9 @@ from lmbsim.dram import DramConfig
 from lmbsim.engine import SystemConfig, simulate
 from lmbsim.errors import ConfigurationError, ProtocolError
 from lmbsim.fabric import (AddressMap, FabricConfig, MemoryImage, PeMachine,
-                           RequestTrace, build_machines, fabric_mttkrp_kernel,
-                           partition_nonzeros, run_functional)
+                           ReqKind, RequestTrace, build_machines,
+                           fabric_mttkrp_kernel, partition_nonzeros,
+                           run_functional)
 from lmbsim.memsys import MODES, LmbConfig
 from lmbsim.tensor import (ELEMENT_BYTES, CooTensor, FactorMatrix, GenSpec,
                            cp_als, gen_synthetic, mttkrp_oracle)
@@ -111,19 +112,9 @@ def test_memory_image_rejects_double_write():
     img = MemoryImage(t, FactorMatrix.random(4, 2, seed=1),
                       FactorMatrix.random(4, 2, seed=2))
     row = np.zeros(2, dtype=np.float32)
-    img.write(("out", 1, row))
+    img.write(1, row)
     with pytest.raises(ProtocolError, match="written twice"):
-        img.write(("out", 1, row))
-
-
-def test_memory_image_rejects_wrong_direction():
-    t = gen_synthetic(GenSpec(dims=(4, 4, 4), nnz=8, seed=0))
-    img = MemoryImage(t, FactorMatrix.random(4, 2, seed=1),
-                      FactorMatrix.random(4, 2, seed=2))
-    with pytest.raises(ProtocolError):
-        img.read(("out", 0))
-    with pytest.raises(ProtocolError):
-        img.write(("drow", 0))
+        img.write(1, row)
 
 
 # --- functional runs ----------------------------------------------------------
@@ -186,11 +177,11 @@ def test_memory_image_copies_exactly_the_shared_rows():
     d, c = signed_zero_factors(FactorMatrix.random(400, 8, seed=3),
                                FactorMatrix.random(300, 8, seed=4))
     img = MemoryImage(t, d, c)
-    for kind, factor, coords in (("drow", d, t.j), ("crow", c, t.k)):
+    for rows, factor, coords in ((img.d_rows, d, t.j), (img.c_rows, c, t.k)):
         reads = np.bincount(coords, minlength=factor.rows)
         assert 0 < (reads >= 2).sum() < (reads < 2).sum()
         for r in range(factor.rows):
-            row = img.read((kind, r))
+            row = rows[r]
             want = factor.values[r]
             if reads[r] >= 2:
                 # a float64 copy holding the float32 row's values bit for bit
@@ -208,15 +199,15 @@ def test_a_second_answer_to_a_request_is_refused():
     t = sorted_tensor((4, 4, 4), 8, seed=0)
     d, c = FactorMatrix.random(4, 2, seed=1), FactorMatrix.random(4, 2, seed=2)
     cfg = FabricConfig(fabric_type="type1", rank=2)
-    (m,) = build_machines(cfg, t, AddressMap.build(t.nnz, t.dims, 2))
+    (m,) = build_machines(cfg, t, AddressMap.build(t.nnz, t.dims, 2),
+                          MemoryImage(t, d, c))
     issued = []
     m.step(0, issued.append)
     (req,) = issued  # the first element load, nothing else can issue yet
-    payload = MemoryImage(t, d, c).read(req.sem)
-    m.deliver(req, payload)
+    m.deliver(req)
     assert m.outstanding == [0, 0, 0]
     with pytest.raises(ProtocolError, match="second response"):
-        m.deliver(req, payload)
+        m.deliver(req)
     assert m.outstanding == [0, 0, 0]
 
 
@@ -249,8 +240,9 @@ def test_functional_rejects_rank_mismatch():
                        FactorMatrix.random(4, 2, seed=1), cfg)
 
 
-def scanned_want_step(m):
-    """want_step as a scan of the slots computes it, without row_wait.
+def scanned_want_step(m, answers):
+    """want_step as a scan of the slots computes it, without row_wait;
+    `answers` maps each slot to the kinds of its requests answered so far.
 
     A complete head counts only if its commit can proceed: not while it
     starts a new row and the current row's flush is still pending.  The
@@ -265,8 +257,9 @@ def scanned_want_step(m):
         or (out[m._fiber_port] < w
             and any(s.i >= 0 and not (s.d_issued and s.c_issued)
                     for s in m.slots))
-        or (head is not None and head.i >= 0 and head.d_row is not None
-            and head.c_row is not None
+        or (head is not None
+            and answers.get(head, set()) == {ReqKind.ELEM, ReqKind.ROW_D,
+                                             ReqKind.ROW_C}
             and (m.pending_flush is None or m.cur_i is None
                  or head.i == m.cur_i))
         or (m.next_z >= m.hi and not m.slots and m.cur_i is not None
@@ -296,7 +289,15 @@ def test_row_wait_counts_slots_awaiting_rows(dims, nnz, seed, fabric_type,
                        max_outstanding=max_outstanding,
                        accumulate_cycles=accumulate_cycles, rank=rank)
     steps = [0]
-    step = PeMachine.step
+    step, deliver = PeMachine.step, PeMachine.deliver
+    answers = {}  # slot -> the kinds of its requests answered so far
+
+    def tallied_deliver(m, req):
+        if req.slot is not None:
+            kinds = answers.setdefault(req.slot, set())
+            assert req.kind not in kinds
+            kinds.add(req.kind)
+        deliver(m, req)
 
     def checked_step(m, now, sink):
         issued = step(m, now, sink)
@@ -305,18 +306,19 @@ def test_row_wait_counts_slots_awaiting_rows(dims, nnz, seed, fabric_type,
         assert m.row_wait == sum(1 for s in m.slots
                                  if s.i >= 0 and not s.c_issued)
         for s in m.slots:
-            assert s.arrived == ((s.i >= 0) + (s.d_row is not None)
-                                 + (s.c_row is not None))
-        assert bool(m.want_step) == scanned_want_step(m)
+            kinds = answers.get(s, set())
+            assert (s.i >= 0) == (ReqKind.ELEM in kinds)
+            assert s.arrived == len(kinds)
+        assert bool(m.want_step) == scanned_want_step(m, answers)
         return issued
 
-    PeMachine.step = checked_step
+    PeMachine.step, PeMachine.deliver = checked_step, tallied_deliver
     try:
         run_functional(t, d, c, cfg)
         simulate(t, d, c, SystemConfig(fabric=cfg, lmb=LmbConfig(mode=mode),
                                        num_lmbs=num_lmbs))
     finally:
-        PeMachine.step = step
+        PeMachine.step, PeMachine.deliver = step, deliver
     assert steps[0] > 0 or t.nnz == 0
 
 
@@ -446,7 +448,8 @@ def test_type1_uses_one_machine_for_all_elements():
     t = sorted_tensor((6, 6, 6), 30, seed=5)
     cfg = FabricConfig(fabric_type="type1", pe_count=4, rank=4)
     amap = AddressMap.build(t.nnz, t.dims, cfg.rank)
-    machines = build_machines(cfg, t, amap)
+    machines = build_machines(cfg, t, amap, MemoryImage(
+        t, FactorMatrix.random(6, 4, seed=0), FactorMatrix.random(6, 4, seed=1)))
     assert len(machines) == 1
     assert (machines[0].next_z, machines[0].hi) == (0, t.nnz)
 
@@ -455,7 +458,8 @@ def test_type2_machines_cover_all_elements():
     t = sorted_tensor((6, 6, 6), 30, seed=5)
     cfg = FabricConfig(fabric_type="type2", pe_count=4, rank=4)
     amap = AddressMap.build(t.nnz, t.dims, cfg.rank)
-    machines = build_machines(cfg, t, amap)
+    machines = build_machines(cfg, t, amap, MemoryImage(
+        t, FactorMatrix.random(6, 4, seed=0), FactorMatrix.random(6, 4, seed=1)))
     assert len(machines) == 4
     spans = [(m.next_z, m.hi) for m in machines]
     assert spans[0][0] == 0 and spans[-1][1] == t.nnz

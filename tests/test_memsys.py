@@ -1,11 +1,12 @@
 """Memory-block internals: hash, buffers, cache array, fetch slots, DMA."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lmbsim.engine import NullImage
+from lmbsim.engine import SystemConfig, replay_trace
 from lmbsim.errors import ConfigurationError
 from lmbsim.fabric import MemoryRequest, ReqKind
 from lmbsim.memsys import (Beat, CacheArray, CacheConfig, DmaConfig, DmaEngine,
@@ -129,6 +130,26 @@ def test_cache_array_matches_reference(lines):
         assert hit == ref.access(line)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_lookup_pipe_lru_matches_reference(seed):
+    # the policy the simulator runs: a hit refreshes its line inside the
+    # lookup pipe, a miss fills it when its line returns.  Reads 200 cycles
+    # apart each see the previous read's fill, so the block's counts must
+    # equal the reference's
+    rng = random.Random(seed)
+    lines = [rng.randrange(64) for _ in range(300)]
+    records = [(200 * n, "elem", 0, 0, 64 * line + 16 * rng.randrange(4), 16,
+                n) for n, line in enumerate(lines)]
+    syscfg = SystemConfig(lmb=LmbConfig(
+        mode="cache-only", cache=CacheConfig(num_lines=16, assoc=2)))
+    blocks = replay_trace(records, syscfg)["blocks"]
+    ref = SetAssocLruRef(num_lines=16, assoc=2)
+    hits = sum(ref.access(line) for line in lines)
+    assert 0 < hits < len(lines)
+    assert (blocks["cache_hits"], blocks["cache_misses"]) == \
+        (hits, len(lines) - hits)
+
+
 def test_cache_insert_reports_lru_victim():
     cache = CacheArray(CacheConfig(num_lines=16, assoc=2))  # 8 sets
     assert cache.insert(0) is None
@@ -158,7 +179,7 @@ def _lookup_block(depth, mshr=8):
     cfg = LmbConfig(mode="cache-only",
                     cache=CacheConfig(num_lines=16, pipeline_depth=depth),
                     mshr=MshrConfig(entries=mshr))
-    return Lmb(0, cfg, image=None)  # no line returns, so nothing is answered
+    return Lmb(0, cfg)
 
 
 def _miss_cycles(lmb, cycles):
@@ -236,7 +257,7 @@ def test_fetch_slots_per_request_costs_each():
 # --- DMA engine ---------------------------------------------------------------
 
 def make_req(kind, addr, nbytes, pe=0, tag=0):
-    return MemoryRequest(kind, addr, nbytes, pe, tag, ("drow", 0))
+    return MemoryRequest(kind, addr, nbytes, pe, tag)
 
 
 def make_dma(cfg=None, stats=None):
@@ -268,7 +289,7 @@ def split_beats(addr, nbytes):
 def ip_port_beats(req):
     """The beats an ip-only port issues for one request, each answered as
     soon as it reaches the router wire."""
-    lmb = Lmb(0, LmbConfig(mode="ip-only"), NullImage())
+    lmb = Lmb(0, LmbConfig(mode="ip-only"))
     lmb.accept(req, -1)
     beats = []
     for now in range(4 * (req.nbytes // 64 + 2)):
@@ -329,8 +350,7 @@ def test_dma_credits_throttle_and_return():
     # one credit: beat 1 waits until the arbiter takes beat 0 off the
     # staging wire, which returns its credit
     lmb = Lmb(0, LmbConfig(mode="dma-only",
-                           dma=DmaConfig(buffers=1, buffer_bytes=64)),
-              NullImage())
+                           dma=DmaConfig(buffers=1, buffer_bytes=64)))
     lmb.accept(make_req(ReqKind.ROW_D, 0, 128), -1)
     staged = []
     for now in range(6):
@@ -343,7 +363,7 @@ def test_dma_credits_throttle_and_return():
 
 
 def test_dma_completion_fires_after_all_beats_respond():
-    lmb = Lmb(0, LmbConfig(mode="dma-only"), NullImage())
+    lmb = Lmb(0, LmbConfig(mode="dma-only"))
     req = make_req(ReqKind.ROW_D, 0, 128, tag=5)
     lmb.accept(req, -1)
     for now in range(4):
@@ -358,7 +378,7 @@ def test_dma_completion_fires_after_all_beats_respond():
     assert not lmb.drained()
     lmb.in_resp.push(11, first)
     lmb.step(11)
-    assert pop_ready(lmb.to_fabric, 12) == (5, None)
+    assert pop_ready(lmb.to_fabric, 12) is req  # the answer is the request
     assert desc.unanswered == 0 and lmb.drained()
 
 
