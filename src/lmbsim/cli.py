@@ -134,6 +134,17 @@ def _write_output(path, text):
         raise DataError(f"cannot write {path}: {exc}") from None
 
 
+def _check_output_paths(*paths):
+    """Refuse, before any work, an output path that names a directory or
+    whose directory does not exist; nothing is created or truncated yet."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise DataError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(parent):
+            raise DataError(f"cannot write {path}: no directory {parent}")
+
+
 def _emit_report(report, out_format, out_path):
     if out_format == "csv":
         lines = ["key,value"]
@@ -236,6 +247,7 @@ def cmd_run(args):
     settings = _resolve(args, extra=_flag_overrides(args))
     built = cfgmod.build(settings)
     flat = cfgmod.flat_settings(settings)
+    _check_output_paths(args.out, "" if args.trace_in else built.trace_path)
     if args.trace_in:
         records = _parse_trace_file(args.trace_in, built.system)
         report = replay_trace(records, built.system, effective_config=flat)
@@ -357,6 +369,7 @@ def cmd_sweep(args):
         raise ConfigurationError("a sweep needs at least two modes to compare")
     if args.plot_script and (built.out_format != "csv" or not args.out):
         raise ConfigurationError("--plot-script needs --format csv and --out FILE")
+    _check_output_paths(args.out, args.plot_script)
     label_parts = _sweep_label_parts(args.preset)
     tasks = [(settings, rank, mode, label_parts)
              for rank in built.sweep_ranks for mode in built.sweep_modes]
@@ -397,6 +410,7 @@ def cmd_sweep(args):
 def cmd_cpd(args):
     settings = _resolve(args, extra=_flag_overrides(args))
     built = cfgmod.build(settings)
+    _check_output_paths(args.out)
     tensor, name = _load_workload(built)
     kernel = None
     if args.use_fabric:

@@ -435,8 +435,6 @@ def simulate(tensor, d, c, syscfg: SystemConfig, verify=False,
              trace: RequestTrace | None = None, effective_config=None,
              workload_name=""):
     """Run one timed simulation; returns (output FactorMatrix, report dict)."""
-    if syscfg.fabric.rank != d.rank or syscfg.fabric.rank != c.rank:
-        raise ConfigurationError("fabric rank differs from factor rank")
     amap = AddressMap.build(tensor.nnz, tensor.dims, syscfg.fabric.rank)
     bits = syscfg.dram.address_bits
     if amap.end > 1 << bits:

@@ -16,16 +16,14 @@ The same machine logic runs under an instant-responder harness (functional
 results, request traces) and under the cycle engine (timing).  The memory
 side moves timing only: a request carries no data, and its answer is the
 request itself.  Each machine reads and writes the data in the MemoryImage
-on its own: an answered element load reads the element record its slot
-names, a commit reads the slot's two factor rows, and issuing a row store
-writes the output row.  Both runs therefore produce identical numerics: the
-image serves a factor row that two or more elements read as a float64 copy
-and any other row as a float32 view, and a commit multiplies the two rows
-into a per-machine float64 buffer, which is exact whatever the pair (each
-holds a float32 value, and a float32 by float32 product fits a float64
-significand), then scales it by the value and adds it to the row's sum.
-Sums start from zero, are carried in float64 in element order, and are
-rounded to float32 once per flush.
+on its own: an answered element load reads the coordinates its slot names,
+a commit adds the slot's term, and issuing a row store writes the output
+row.  Both runs therefore produce identical numerics.  The image computes
+every element's term (D[j, :] * C[k, :]) * val before the run, in float64
+and in one vectorized pass: the float32 by float32 product fits a float64
+significand, so only the scale by the value rounds.  Sums start from zero,
+are carried in float64 in element order, and are rounded to float32 once
+per flush.
 
 Each slot counts its answers (the element, then its two rows) and commits
 at three.  Each machine counts the slots whose element is here and that still
@@ -43,7 +41,8 @@ import numpy as np
 from .dram import BEAT_BYTES
 from .errors import ConfigurationError, ProtocolError
 from .queues import INF
-from .tensor import ELEMENT_BYTES, VALUE_BYTES, CooTensor, FactorMatrix
+from .tensor import (ELEMENT_BYTES, VALUE_BYTES, CooTensor, FactorMatrix,
+                     check_factors)
 
 ADDRESS_LIMIT_BITS = 48
 
@@ -173,14 +172,15 @@ class FabricConfig:
 
 
 class _Slot:
-    """One element in flight; a machine's slots are in element order."""
+    """One element in flight; a machine's slots are in element order.  `z`
+    indexes the element's coordinates, which its answer fills in, and its
+    term in the MemoryImage."""
 
-    __slots__ = ("z", "i", "j", "k", "val", "arrived", "d_issued", "c_issued")
+    __slots__ = ("z", "i", "j", "k", "arrived", "d_issued", "c_issued")
 
     def __init__(self, z):
-        self.z = z  # the element's index; its coordinates come with its answer
+        self.z = z
         self.i = self.j = self.k = -1
-        self.val = 0.0
         self.arrived = 0  # the element, then its two rows: complete at 3
         self.d_issued = False
         self.c_issued = False
@@ -199,8 +199,9 @@ class PeMachine:
     per cycle and holds at most `max_outstanding` in flight.  The machine
     keeps no table of its requests in flight: each request carries the slot
     its answer fills and its port, and `outstanding` counts them per port.
-    The data comes from `image`, not from the answers: see the module
-    docstring.
+    The data comes from `image`, not from the answers: an answered element
+    load reads the slot's coordinates, and a commit adds the slot's term,
+    `image.terms[z]`, to the row's float64 sum.
 
     `row_wait` counts the slots whose element has arrived and that still
     have a row to issue: a delivered element adds one, issuing its C row
@@ -220,12 +221,12 @@ class PeMachine:
     """
 
     __slots__ = ("cfg", "hi", "next_z", "slots", "slot_cap",
-                 "cur_i", "temp_y", "_prod", "acc_busy_until", "pending_flush",
+                 "cur_i", "temp_y", "acc_busy_until", "pending_flush",
                  "outstanding", "max_outstanding", "row_wait",
                  "_dispatch", "_write_port", "_fiber_port", "_elem_port",
                  "_row_bytes", "_d_base", "_c_base", "_out_base",
                  "_tensor_base", "_next_tag",
-                 "_elements", "_d_rows", "_c_rows", "_image",
+                 "_elements", "_terms", "_image",
                  "issue_count", "accum_busy_cycles", "first_cycle", "last_cycle",
                  "want_step")
 
@@ -238,7 +239,6 @@ class PeMachine:
         self.slot_cap = cfg.max_outstanding * (2 if cfg.fabric_type == "type1" else 1)
         self.cur_i = None
         self.temp_y = np.zeros(cfg.rank, dtype=np.float64)
-        self._prod = np.empty(cfg.rank, dtype=np.float64)  # one element's term
         self.acc_busy_until = 0
         self.pending_flush = None
         self.max_outstanding = cfg.max_outstanding
@@ -262,8 +262,7 @@ class PeMachine:
         self._next_tag = tag_base
         self._image = image
         self._elements = image.elements
-        self._d_rows = image.d_rows
-        self._c_rows = image.c_rows
+        self._terms = image.terms
         self.issue_count = 0
         self.accum_busy_cycles = 0
         self.first_cycle = None
@@ -283,7 +282,7 @@ class PeMachine:
         self.outstanding[port] -= 1
         slot = req.slot
         if req.kind is _ELEM:
-            slot.i, slot.j, slot.k, slot.val = self._elements[slot.z]
+            slot.i, slot.j, slot.k = self._elements[slot.z]
             slot.arrived = 1
             self.row_wait += 1
         elif slot is not None:  # a row; a row store's answer frees its port
@@ -306,12 +305,7 @@ class PeMachine:
                 self.pending_flush = (self.cur_i, self.temp_y.astype(np.float32))
                 self.temp_y.fill(0.0)
             self.cur_i = head.i
-            # float64 or float32 rows, multiplied exactly in float64
-            prod = self._prod
-            np.multiply(self._d_rows[head.j], self._c_rows[head.k], out=prod,
-                        dtype=np.float64)
-            prod *= head.val
-            self.temp_y += prod
+            self.temp_y += self._terms[head.z]
             self.slots.popleft()
             self.acc_busy_until = now + self.cfg.accumulate_cycles
             self.accum_busy_cycles += self.cfg.accumulate_cycles
@@ -421,6 +415,8 @@ def build_machines(cfg: FabricConfig, tensor: CooTensor, amap: AddressMap,
                    image):
     """Instantiate the PE machines and their element ranges; each reads and
     writes its data in `image`, the MemoryImage of `tensor`."""
+    if cfg.rank != image.out.shape[1]:
+        raise ConfigurationError("fabric rank differs from factor rank")
     if not tensor.mode_sorted():
         raise ConfigurationError("fabric requires elements sorted by (i, j, k); "
                                  "sort the tensor first")
@@ -437,43 +433,27 @@ def build_machines(cfg: FabricConfig, tensor: CooTensor, amap: AddressMap,
     return machines
 
 
-class _FactorRows(dict):
-    """Row index -> row of one factor matrix.  It holds a float64 copy of
-    each row that two or more elements read, so a commit multiplies those
-    without a cast; any other row is served as a float32 view of the matrix,
-    made when it is asked for and not kept."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values, coords):
-        rows, counts = np.unique(coords, return_counts=True)
-        shared = rows[counts >= 2]
-        super().__init__(zip(shared.tolist(),
-                             values[shared].astype(np.float64)))
-        self.values = values
-
-    def __missing__(self, row):
-        return self.values[row]
-
-
 class MemoryImage:
     """The data the PE machines read and write, kept apart from the timing
     models, which move addressed bytes and no data.
 
-    `elements` holds each element as (i, j, k, val) in Python numbers;
-    `d_rows` and `c_rows` serve a factor row by index, a float64 copy if two
-    or more elements read it, else a float32 view.  Writes land whole output
-    rows, each exactly once per run.
+    `elements` holds each element's (i, j, k) in Python ints, and `terms`
+    row z holds element z's term (D[j, :] * C[k, :]) * val in float64.
+    Factors of the wrong shape are refused before a run starts.  Writes
+    land whole output rows, each exactly once per run.
     """
 
     def __init__(self, tensor: CooTensor, d: FactorMatrix, c: FactorMatrix):
+        check_factors(tensor, d, c)
         self.tensor = tensor
         self.out = np.zeros((tensor.dims[0], d.rank), dtype=np.float32)
         self._written = set()
         self.elements = list(zip(tensor.i.tolist(), tensor.j.tolist(),
-                                 tensor.k.tolist(), tensor.vals.tolist()))
-        self.d_rows = _FactorRows(d.values, tensor.j)
-        self.c_rows = _FactorRows(c.values, tensor.k)
+                                 tensor.k.tolist()))
+        terms = d.values[tensor.j].astype(np.float64)
+        terms *= c.values[tensor.k]  # exact: a float32 product fits float64
+        terms *= tensor.vals[:, None]  # the one rounding
+        self.terms = terms
 
     def write(self, i, row):
         if i in self._written:
@@ -513,8 +493,6 @@ def run_functional(tensor: CooTensor, d: FactorMatrix, c: FactorMatrix,
     Returns the MTTKRP output.  Numerics and request streams are identical to
     the timed run; only response latencies differ.
     """
-    if cfg.rank != d.rank or cfg.rank != c.rank:
-        raise ConfigurationError("fabric rank differs from factor rank")
     amap = AddressMap.build(tensor.nnz, tensor.dims, cfg.rank)
     image = MemoryImage(tensor, d, c)
     machines = build_machines(cfg, tensor, amap, image)

@@ -135,6 +135,18 @@ class GenSpec:
             raise ConfigurationError(f"unknown distribution {self.distribution!r}")
 
 
+def check_factors(tensor: CooTensor, d: FactorMatrix, c: FactorMatrix):
+    """Raise a ConfigurationError unless D has the tensor's J rows, C its K
+    rows, and the two share a rank."""
+    _, j_ext, k_ext = tensor.dims
+    if d.rows != j_ext:
+        raise ConfigurationError(f"D has {d.rows} rows, tensor J extent is {j_ext}")
+    if c.rows != k_ext:
+        raise ConfigurationError(f"C has {c.rows} rows, tensor K extent is {k_ext}")
+    if d.rank != c.rank:
+        raise ConfigurationError(f"rank mismatch: D rank {d.rank}, C rank {c.rank}")
+
+
 def mttkrp_oracle(tensor: CooTensor, d: FactorMatrix, c: FactorMatrix) -> FactorMatrix:
     """Reference MTTKRP: A[i, r] = sum_z vals[z] * D[j_z, r] * C[k_z, r].
 
@@ -142,13 +154,8 @@ def mttkrp_oracle(tensor: CooTensor, d: FactorMatrix, c: FactorMatrix) -> Factor
     result to float32.  D must have J rows and C must have K rows; coordinates
     are validated against the matrix extents.
     """
+    check_factors(tensor, d, c)
     i_ext, j_ext, k_ext = tensor.dims
-    if d.rows != j_ext:
-        raise ConfigurationError(f"D has {d.rows} rows, tensor J extent is {j_ext}")
-    if c.rows != k_ext:
-        raise ConfigurationError(f"C has {c.rows} rows, tensor K extent is {k_ext}")
-    if d.rank != c.rank:
-        raise ConfigurationError(f"rank mismatch: D rank {d.rank}, C rank {c.rank}")
     rank = d.rank
     out = np.zeros((i_ext, rank), dtype=np.float64)
     if tensor.nnz:

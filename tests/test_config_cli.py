@@ -422,6 +422,37 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", *_SMALL, "--out", "{bad}"],
+    ["run", *_SMALL, "--out", "{ok}", "--trace-out", "{bad}"],
+    ["run", *_SMALL, "--set", "output.trace={bad}", "--out", "{ok}"],
+    ["run", "--trace-in", "{ok}", "--out", "{bad}"],
+    [*_SWEEP, "--out", "{bad}"],
+    [*_SWEEP, "--out", "{ok}", "--plot-script", "{bad}"],
+    ["cpd", *_SMALL, "--out", "{bad}"],
+    ["cpd", *_SMALL, "--use-fabric", "--out", "{bad}"],
+], ids=["run-out", "run-trace-out", "run-trace-setting", "replay-out",
+        "sweep-out", "sweep-plot-script", "cpd-out", "cpd-fabric-out"])
+@pytest.mark.parametrize("kind", ["missing-dir", "a-dir"])
+def test_cli_output_paths_are_checked_before_the_run(tmp_path, capsys,
+                                                     monkeypatch, argv, kind):
+    def reached(*args, **kwargs):
+        raise AssertionError("the run started before its output paths "
+                             "were checked")
+
+    for name in ("simulate", "replay_trace", "cp_als"):
+        monkeypatch.setattr(cli, name, reached)
+    bad = tmp_path / "missing" / "x.txt" if kind == "missing-dir" else tmp_path
+    ok = tmp_path / "ok.txt"
+    ok.write_text("kept")
+    assert main([a.format(bad=bad, ok=ok) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert ok.read_text() == "kept"  # no file is created or truncated early
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.txt"]
+
+
 def test_cli_sweep_rejects_unknown_mode(tmp_path):
     assert main(["sweep", "--set", "sweep.modes=warp"]) == 2
 

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from lmbsim.dram import Dram, DramConfig
 from lmbsim.engine import (Router, Simulator, SystemConfig, TracePlayer,
-                           _percentiles, replay_trace, report_to_json,
-                           simulate, verify_output)
+                           _percentiles, _ReturnHop, replay_trace,
+                           report_to_json, simulate, verify_output)
 from lmbsim.errors import (ConfigurationError, DeadlockError, ProtocolError,
                            VerificationError)
 from lmbsim.fabric import FabricConfig, RequestTrace, run_functional
@@ -673,6 +673,29 @@ def every_cycle(last_cycle):
             setattr(cls, name, original)
 
 
+@contextlib.contextmanager
+def bus_grants():
+    """Record the beats that each run's DRAM grants the bus, which it hands
+    to its return hop: one list per return hop, in the order the runs built
+    them.  The lists keep the beats alive, so no two share an id."""
+    grants = {}
+    init, push = _ReturnHop.__init__, _ReturnHop.push
+
+    def recording_init(hop, *args):
+        init(hop, *args)
+        grants[hop] = []
+
+    def recording_push(hop, ready, beat):
+        grants[hop].append(beat)
+        push(hop, ready, beat)
+
+    _ReturnHop.__init__, _ReturnHop.push = recording_init, recording_push
+    try:
+        yield grants
+    finally:
+        _ReturnHop.__init__, _ReturnHop.push = init, push
+
+
 def _timed_and_replayed(t, d, c, syscfg, replay_cfg):
     trace = RequestTrace()
     out, rep = simulate(t, d, c, syscfg, verify=True, trace=trace)
@@ -689,10 +712,11 @@ def test_every_cycle_reference_gives_the_same_run(seed, mode):
     rng = random.Random(seed)
     t, d, c, syscfg = timed_inputs(rng, mode)
     replay_cfg = replay_system(rng, syscfg)
-    rep, out, records, replay = _timed_and_replayed(t, d, c, syscfg,
-                                                    replay_cfg)
+    with bus_grants() as grants:
+        rep, out, records, replay = _timed_and_replayed(t, d, c, syscfg,
+                                                        replay_cfg)
     last = max(rep["total_cycles"], replay["total_cycles"]) + 1
-    with every_cycle(last):
+    with every_cycle(last), bus_grants() as ref_grants:
         ref = _timed_and_replayed(t, d, c, syscfg, replay_cfg)
     assert report_to_json(ref[0]) == report_to_json(rep)
     assert ref[1] == out
@@ -703,6 +727,13 @@ def test_every_cycle_reference_gives_the_same_run(seed, mode):
         beats = r["dram"]["beats"]
         assert r["router"]["forwarded"] == beats == r["router"]["returned"]
         assert r["bus"]["bytes"] == 64 * beats
+    # each beat the DRAM accepted is granted the bus exactly once, in the
+    # timed run and the replay, with and without the wake rules
+    for runs, reports in ((grants, (rep, replay)),
+                          (ref_grants, (ref[0], ref[3]))):
+        assert len(runs) == len(reports)
+        for beats, r in zip(runs.values(), reports):
+            assert len({id(b) for b in beats}) == len(beats) == r["dram"]["beats"]
 
 
 # --- giving up ------------------------------------------------------------------

@@ -142,8 +142,7 @@ def signed_zero_factors(d, c):
 
 def row_pairs(t):
     """The (D row shared, C row shared) pairs that t's elements multiply: a
-    shared row, one that two or more elements read, is served in float64,
-    any other row in float32."""
+    shared row is one that two or more elements read."""
     shared_d = np.bincount(t.j)[t.j] >= 2
     shared_c = np.bincount(t.k)[t.k] >= 2
     return set(zip(shared_d.tolist(), shared_c.tolist()))
@@ -154,7 +153,7 @@ def row_pairs(t):
 def test_functional_matches_oracle_bitexact(fabric_type, rank):
     cfg = FabricConfig(fabric_type=fabric_type, pe_count=4, rank=rank)
     # 150 elements on 9 and 14 rows share every row; on 400 and 300 rows
-    # most rows are read once, so every kind of pair is multiplied
+    # most rows are read once, so each term's rows are shared, single or mixed
     for dims, pairs in (((12, 9, 14), {(True, True)}),
                         ((12, 400, 300), {(True, True), (True, False),
                                           (False, True), (False, False)})):
@@ -172,27 +171,39 @@ def test_functional_matches_oracle_bitexact(fabric_type, rank):
         assert not np.signbit(got.values[np.unique(t.i), 0]).any()
 
 
-def test_memory_image_copies_exactly_the_shared_rows():
+def test_memory_image_terms_match_a_per_element_loop():
     t = sorted_tensor((12, 400, 300), 150, seed=2)
     d, c = signed_zero_factors(FactorMatrix.random(400, 8, seed=3),
                                FactorMatrix.random(300, 8, seed=4))
     img = MemoryImage(t, d, c)
-    for rows, factor, coords in ((img.d_rows, d, t.j), (img.c_rows, c, t.k)):
-        reads = np.bincount(coords, minlength=factor.rows)
-        assert 0 < (reads >= 2).sum() < (reads < 2).sum()
-        for r in range(factor.rows):
-            row = rows[r]
-            want = factor.values[r]
-            if reads[r] >= 2:
-                # a float64 copy holding the float32 row's values bit for bit
-                assert row.dtype == np.float64
-                assert not np.shares_memory(row, factor.values)
-                assert row.tobytes() == want.astype(np.float64).tobytes()
-            else:
-                # a view made when asked for: nothing is copied
-                assert row.dtype == np.float32
-                assert np.shares_memory(row, factor.values)
-                assert row.tobytes() == want.tobytes()
+    assert img.terms.dtype == np.float64 and img.terms.shape == (t.nnz, 8)
+    dv, cv = d.values.tolist(), c.values.tolist()
+    want = [[(dv[j][r] * cv[k][r]) * val for r in range(8)]
+            for j, k, val in zip(t.j.tolist(), t.k.tolist(), t.vals.tolist())]
+    # bit for bit, the sign of every zero included
+    assert img.terms.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    assert np.signbit(img.terms[:, 0]).any() and (img.terms[:, 1] == 0).any()
+
+
+@pytest.mark.parametrize("which, rows, rank, message", [
+    ("d", 5, 2, "D has 5 rows, tensor J extent is 10"),
+    ("c", 11, 2, "C has 11 rows, tensor K extent is 10"),
+    ("c", 10, 3, "rank mismatch: D rank 2, C rank 3"),
+])
+def test_mismatched_factors_are_refused_before_the_run(which, rows, rank,
+                                                        message):
+    t = sorted_tensor((10, 10, 10), 60, seed=1)
+    assert t.j.max() >= 5  # a 5-row D would be indexed past its end
+    factors = {"d": FactorMatrix.random(10, 2, seed=1),
+               "c": FactorMatrix.random(10, 2, seed=2)}
+    factors[which] = FactorMatrix.random(rows, rank, seed=3)
+    d, c = factors["d"], factors["c"]
+    fab = FabricConfig(fabric_type="type2", pe_count=2, rank=2)
+    for run in (lambda: MemoryImage(t, d, c), lambda: mttkrp_oracle(t, d, c),
+                lambda: simulate(t, d, c, SystemConfig(fabric=fab)),
+                lambda: run_functional(t, d, c, fab)):
+        with pytest.raises(ConfigurationError, match=message):
+            run()
 
 
 def test_a_second_answer_to_a_request_is_refused():
