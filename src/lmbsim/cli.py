@@ -26,7 +26,8 @@ import os
 import sys
 
 from . import config as cfgmod
-from .engine import REFERENCE_SPEEDUP, replay_trace, report_to_json, simulate
+from .engine import (REFERENCE_SPEEDUP, checked_layout, replay_trace,
+                     report_to_json, simulate)
 from .errors import ConfigurationError, DataError, LmbsimError, VerificationError
 from .fabric import ReqKind, RequestTrace, fabric_mttkrp_kernel
 from .memsys import MODES
@@ -102,7 +103,12 @@ def _load_workload(built):
     return tensor, name
 
 
-def _factors(tensor, rank, seed):
+def _factors(tensor, system, seed):
+    """Random D and C at the system's rank, drawn only once the layout fits
+    the address space: a rank too large for it is refused before anything
+    that size is allocated."""
+    checked_layout(tensor, system)
+    rank = system.fabric.rank
     d = FactorMatrix.random(tensor.dims[1], rank, seed + 1)
     c = FactorMatrix.random(tensor.dims[2], rank, seed + 2)
     return d, c
@@ -254,7 +260,7 @@ def cmd_run(args):
         _emit_report(report, built.out_format, args.out)
         return 0
     tensor, name = _load_workload(built)
-    d, c = _factors(tensor, built.system.fabric.rank, built.seed)
+    d, c = _factors(tensor, built.system, built.seed)
     trace = RequestTrace() if built.trace_path else None
     _, report = simulate(tensor, d, c, built.system, verify=built.verify,
                          trace=trace, effective_config=flat,
@@ -303,7 +309,7 @@ def run_mode(settings, mode):
         cfgmod.apply_preset(settings, f"baseline-{mode}")
     built = cfgmod.build(settings)
     tensor, name = _load_workload(built)
-    d, c = _factors(tensor, built.system.fabric.rank, built.seed)
+    d, c = _factors(tensor, built.system, built.seed)
     _, report = simulate(tensor, d, c, built.system, verify=built.verify,
                          workload_name=name)
     return report
@@ -367,6 +373,8 @@ def cmd_sweep(args):
             raise ConfigurationError(f"sweep mode {mode!r} not one of {MODES}")
     if len(built.sweep_modes) < 2:
         raise ConfigurationError("a sweep needs at least two modes to compare")
+    if not built.sweep_ranks:
+        raise ConfigurationError("a sweep needs at least one rank")
     if args.plot_script and (built.out_format != "csv" or not args.out):
         raise ConfigurationError("--plot-script needs --format csv and --out FILE")
     _check_output_paths(args.out, args.plot_script)

@@ -6,7 +6,9 @@ Timing contract (every number below is load-bearing and tested):
     PE -> block intake, reductor stage 1 -> stage 2, stage 2 -> cache lookup,
     cache outcome -> fetch arbiter, arbiter -> router, router -> DRAM,
     block -> PE (read data); DRAM bus -> router -> block takes two cycles
-    on one wire (the router's return half is a pure delay).
+    in one push (the router's return half is a pure delay, a _Hop), and
+    with one block so does arbiter -> router -> DRAM (the forward half is
+    then a pure delay too, another _Hop).
     Write acknowledgements toward the fabric are same-cycle credit pulses.
   * The cache lookup pipeline accepts one access per cycle; its outcome is
     visible pipeline_depth - 1 cycles after acceptance.  Fills bypass the
@@ -33,7 +35,8 @@ workload's index (`src`) and its issue cycle (`issued`), and an answer goes
 to that workload's deliver and clears `issued`, so a second answer to one
 request is refused.  Tags name requests only in traces and error messages.
 
-The engine steps every component once per loop iteration.  The DRAM, the
+The engine steps every component once per loop iteration, except a router
+with no inputs (one block: both of its halves are hops).  The DRAM, the
 router and each block keep a `wake` cycle, and a step below it is a no-op:
 the component sets its wake at the end of each step, and a push onto an empty
 input wire lowers it (see queues.py).  The router's wake is its earliest
@@ -99,21 +102,24 @@ class SystemConfig:
             raise ConfigurationError("need at least one memory block")
 
 
-class _ReturnHop:
-    """The router's return half as the DRAM's output wire.  With no
-    arbitration, no capacity limit and one bus grant per cycle it is a pure
-    one-cycle delay: a beat pushed for cycle t is on its block's in_resp for
-    t + 1.  It holds nothing, so it is always empty."""
+class _Hop:
+    """A half of the router with nothing to choose, as the wire its sender
+    pushes onto: a pure one-cycle delay.  A beat pushed for cycle t is on
+    wires[beat.lmb] for t + 1, counted in stats[key].  The return half (the
+    DRAM's output: one bus grant per cycle, no capacity limit) is always
+    one; the forward half is one for a lone block, whose arbiter sends at
+    most one beat per cycle.  It holds nothing, so it is always empty."""
 
-    __slots__ = ("wires", "stats")
+    __slots__ = ("wires", "stats", "key")
 
-    def __init__(self, wires, stats):
+    def __init__(self, wires, stats, key):
         self.wires = wires
         self.stats = stats
+        self.key = key
 
     def push(self, ready, beat):
         self.wires[beat.lmb].push(ready + 1, beat)
-        self.stats["returned"] += 1
+        self.stats[self.key] += 1
 
     def __len__(self):
         return 0
@@ -121,23 +127,37 @@ class _ReturnHop:
 
 class Router:
     """One beat per cycle toward DRAM (round-robin over blocks); the return
-    half fans completions back out to their block, one hop each way."""
+    half fans completions back out to their block, one hop each way.
+
+    The return half is a _Hop.  So is the forward half of a lone block (its
+    id is 0): the router then has no inputs, and the Simulator does not step
+    it.  Cleared, the test seam `_hop_lone_block` routes a lone block like
+    many, so a reference run can step the general path every cycle.
+    """
+
+    _hop_lone_block = True
 
     def __init__(self, lmbs, dram):
         self.dram = dram
         self._rr = 0
-        self._inputs = [lmb.to_router for lmb in lmbs]
-        for wire in self._inputs:
-            wire.owner = self
-        self.wake = 0  # the wires may already hold beats
         self.stats = {"forwarded": 0, "returned": 0}
-        dram.to_router = _ReturnHop([lmb.in_resp for lmb in lmbs], self.stats)
+        if len(lmbs) == 1 and self._hop_lone_block:
+            lmbs[0].to_router = _Hop([dram.ingress], self.stats, "forwarded")
+            self.inputs = []
+        else:
+            self.inputs = [lmb.to_router for lmb in lmbs]
+        for wire in self.inputs:
+            wire.owner = self
+        # the wires may already hold beats
+        self.wake = 0 if self.inputs else INF
+        dram.to_router = _Hop([lmb.in_resp for lmb in lmbs], self.stats,
+                              "returned")
 
     def step(self, now):
         if now < self.wake:
             return False
         moved = False
-        inputs = self._inputs
+        inputs = self.inputs
         n = len(inputs)
         for off in range(n):
             wire = inputs[(self._rr + off) % n]
@@ -329,13 +349,18 @@ class Simulator:
     def run(self):
         now = 0
         last_progress = 0
-        dram, router, lmbs = self.dram, self.router, self.lmbs
+        # the memory side in step order; a router with no inputs (one block,
+        # both halves hops) has nothing to step
+        steps = [self.dram.step]
+        if self.router.inputs:
+            steps.append(self.router.step)
+        steps += [lmb.step for lmb in self.lmbs]
+        fabric_step = self._fabric_step
         while True:
-            moved = dram.step(now)
-            moved |= router.step(now)
-            for lmb in lmbs:
-                moved |= lmb.step(now)
-            moved |= self._fabric_step(now)
+            moved = False
+            for step in steps:
+                moved |= step(now)
+            moved |= fabric_step(now)
             if moved:
                 self.total_cycles = now
                 last_progress = now
@@ -431,16 +456,24 @@ def verify_output(got: FactorMatrix, want: FactorMatrix):
             f"reference {b[i, r]!r} (rel tol {_REL_TOL})")
 
 
-def simulate(tensor, d, c, syscfg: SystemConfig, verify=False,
-             trace: RequestTrace | None = None, effective_config=None,
-             workload_name=""):
-    """Run one timed simulation; returns (output FactorMatrix, report dict)."""
+def checked_layout(tensor, syscfg: SystemConfig):
+    """The workload's address map, refused with a ConfigurationError when it
+    does not fit the DRAM's address space.  It allocates nothing, so a
+    caller can check a layout before it draws the factors."""
     amap = AddressMap.build(tensor.nnz, tensor.dims, syscfg.fabric.rank)
     bits = syscfg.dram.address_bits
     if amap.end > 1 << bits:
         raise ConfigurationError(
             f"the layout's {amap.end} bytes do not fit the {bits}-bit "
             "address space")
+    return amap
+
+
+def simulate(tensor, d, c, syscfg: SystemConfig, verify=False,
+             trace: RequestTrace | None = None, effective_config=None,
+             workload_name=""):
+    """Run one timed simulation; returns (output FactorMatrix, report dict)."""
+    amap = checked_layout(tensor, syscfg)
     image = MemoryImage(tensor, d, c)
     machines = build_machines(syscfg.fabric, tensor, amap, image)
     sim = Simulator(syscfg, machines, trace=trace)

@@ -11,7 +11,7 @@ holds one from issue until the arbiter takes it); the cursor, one record of
 a request's 64-byte beats (aligned next address, beats not yet issued, beats
 not yet answered) for a DMA descriptor, a split request and a raw port; and
 the port arbiter, one beat per cycle toward the router, round-robin over the
-mode's beat sources.
+mode's beat sources (a one-source mode takes its source's head).
 
 The mode picks, once, when the block is built, the wire each request kind
 enters on, the request-side step, what a returned line completes and the
@@ -519,6 +519,7 @@ class Lmb:
             "dma-only": (self.dma.step, None, (self.dma.src,)),
             "ip-only": (self._step_ip, None, (self._ip_src,)),
         }[mode]
+        self._lone_source = self._sources[0] if len(self._sources) == 1 else None
         # the wires _idle_wake reads, the same in every mode
         self._wake_wires = (self.in_resp, self.in_cache, self._stage2)
         # the wire each request kind enters on, indexed by ReqKind; ip-only
@@ -749,17 +750,24 @@ class Lmb:
             beat.handler(beat.token, now)
             moved = True
         moved |= self._step_requests(now)
-        # port arbiter: one beat per cycle toward the router
-        sources = self._sources
-        n = len(sources)
-        for off in range(n):
-            src = sources[(self._arb_rr + off) % n]
+        # port arbiter: one beat per cycle toward the router, round-robin
+        # over the sources; a one-source mode takes its source's head
+        src = self._lone_source
+        if src is not None:
             if src and src[0][0] <= now:
-                beat = src.popleft()[1]
-                self._arb_rr = (self._arb_rr + off + 1) % n
-                self.to_router.push(now + 1, beat)
+                self.to_router.push(now + 1, src.popleft()[1])
                 moved = True
-                break
+        else:
+            sources = self._sources
+            n = len(sources)
+            for off in range(n):
+                src = sources[(self._arb_rr + off) % n]
+                if src and src[0][0] <= now:
+                    beat = src.popleft()[1]
+                    self._arb_rr = (self._arb_rr + off + 1) % n
+                    self.to_router.push(now + 1, beat)
+                    moved = True
+                    break
         self.wake = now + 1 if moved else self._idle_wake(now)
         return moved
 

@@ -453,6 +453,32 @@ def test_cli_output_paths_are_checked_before_the_run(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.txt"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--set", "tensor.nnz=50", "--set", "fabric.rank=99999999"],
+    ["run", "--set", "tensor.nnz=50", "--rank", "99999999", "--verify"],
+    ["sweep", "--set", "tensor.nnz=50", "--set", "sweep.ranks=99999999"],
+], ids=["run", "run-verify", "sweep"])
+def test_cli_layout_is_checked_before_the_factors(capsys, monkeypatch, argv):
+    def reached(*args, **kwargs):
+        raise AssertionError("the factors were drawn before the layout "
+                             "was checked")
+
+    monkeypatch.setattr(cli.FactorMatrix, "random", reached)
+    monkeypatch.setattr(cli, "simulate", reached)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the layout's ")
+    assert err.rstrip().endswith("do not fit the 31-bit address space")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_sweep_rejects_an_empty_rank_list(capsys):
+    assert main(["sweep", "--set", "sweep.ranks="]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a sweep needs at least one rank\n"
+
+
 def test_cli_sweep_rejects_unknown_mode(tmp_path):
     assert main(["sweep", "--set", "sweep.modes=warp"]) == 2
 

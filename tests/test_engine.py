@@ -9,13 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from lmbsim.dram import Dram, DramConfig
 from lmbsim.engine import (Router, Simulator, SystemConfig, TracePlayer,
-                           _percentiles, _ReturnHop, replay_trace,
+                           _Hop, _percentiles, replay_trace,
                            report_to_json, simulate, verify_output)
 from lmbsim.errors import (ConfigurationError, DeadlockError, ProtocolError,
                            VerificationError)
 from lmbsim.fabric import FabricConfig, RequestTrace, run_functional
-from lmbsim.memsys import (MODES, CacheConfig, DmaConfig, DmaEngine, Lmb,
-                           LmbConfig, MshrConfig, RrshConfig, _Cursor)
+from lmbsim.memsys import (MODES, Beat, CacheConfig, DmaConfig, DmaEngine,
+                           Lmb, LmbConfig, MshrConfig, RrshConfig, _Cursor)
 from lmbsim.queues import INF, TimedFifo
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, gen_synthetic,
                            mttkrp_oracle)
@@ -300,6 +300,48 @@ def test_router_wake_is_the_earliest_input_head():
     assert router.stats["returned"] == 1
     assert router.step(9)
     assert router.wake == INF      # every input is empty
+
+
+def test_a_lone_block_forwards_through_a_hop():
+    lmb, dram = Lmb(0, LmbConfig()), Dram(DramConfig())
+    router = Router([lmb], dram)
+    assert router.inputs == [] and router.wake == INF
+    # the forward half is one hop on its own: a beat the block pushes for
+    # cycle 5 is on the DRAM's ingress for cycle 6, and wakes the DRAM
+    first, second = (Beat(0, None, None, addr, 64) for addr in (0, 64))
+    lmb.to_router.push(5, first)
+    assert dram.wake == 6
+    lmb.to_router.push(6, second)
+    assert dram.wake == 6
+    assert [(ready, beat) for ready, beat in dram.ingress] == [(6, first),
+                                                               (7, second)]
+    assert router.stats == {"forwarded": 2, "returned": 0}
+    # the hop holds nothing, and the router never wakes
+    assert not lmb.to_router and lmb.drained()
+    assert router.inputs == [] and router.wake == INF
+
+
+@pytest.mark.parametrize("num_lmbs", [1, 2])
+def test_the_engine_steps_a_router_only_when_it_has_inputs(num_lmbs,
+                                                           monkeypatch):
+    calls = {"router": 0, "iterations": 0}
+    router_step, fabric_step = Router.step, Simulator._fabric_step
+
+    def counting_router(self, now):
+        calls["router"] += 1
+        return router_step(self, now)
+
+    def counting_fabric(self, now):
+        calls["iterations"] += 1
+        return fabric_step(self, now)
+
+    monkeypatch.setattr(Router, "step", counting_router)
+    monkeypatch.setattr(Simulator, "_fabric_step", counting_fabric)
+    t, d, c = random_case((8, 8, 8), 30, 4, seed=3)
+    _, rep = simulate(t, d, c, system(rank=4, num_lmbs=num_lmbs), verify=True)
+    assert rep["router"]["forwarded"] == rep["dram"]["beats"] > 0
+    assert calls["iterations"] > 0
+    assert calls["router"] == (0 if num_lmbs == 1 else calls["iterations"])
 
 
 def test_done_is_checked_only_on_iterations_that_moved_nothing(monkeypatch):
@@ -636,9 +678,12 @@ def every_cycle(last_cycle):
     """Run the engine with no wake rule: the DRAM, the router, every block
     and the fabric side are woken, and every workload re-armed, before each
     of their steps, and an iteration that moved nothing goes on to the next
-    cycle until the run is done.  Skipping a step that can act, or missing a
-    wake, changes the timeline of the normal run but not of this one.  A run
-    still busy after `last_cycle` has gone wrong; it stops there."""
+    cycle until the run is done.  A lone block is routed like many, through
+    a router stepped every cycle, not through a forward hop.  Skipping a
+    step that can act, missing a wake, or a hop that is not the router's
+    one-cycle delay, changes the timeline of the normal run but not of this
+    one.  A run still busy after `last_cycle` has gone wrong; it stops
+    there."""
     fabric_step = Simulator._fabric_step
 
     def woken(step):
@@ -648,6 +693,7 @@ def every_cycle(last_cycle):
         return stepped
 
     def fabric_every_cycle(sim, now):
+        assert sim.router.inputs, "a block reached the DRAM through a hop"
         sim.wake = 0
         for w in sim.workloads:
             w.want_step = True
@@ -662,7 +708,8 @@ def every_cycle(last_cycle):
 
     patches = [(cls, "step", woken(cls.step)) for cls in (Dram, Router, Lmb)]
     patches += [(Simulator, "_fabric_step", fabric_every_cycle),
-                (Simulator, "_next_event", next_cycle)]
+                (Simulator, "_next_event", next_cycle),
+                (Router, "_hop_lone_block", False)]
     saved = [(cls, name, getattr(cls, name)) for cls, name, _ in patches]
     for cls, name, patched in patches:
         setattr(cls, name, patched)
@@ -679,21 +726,23 @@ def bus_grants():
     to its return hop: one list per return hop, in the order the runs built
     them.  The lists keep the beats alive, so no two share an id."""
     grants = {}
-    init, push = _ReturnHop.__init__, _ReturnHop.push
+    init, push = _Hop.__init__, _Hop.push
 
     def recording_init(hop, *args):
         init(hop, *args)
-        grants[hop] = []
+        if hop.key == "returned":
+            grants[hop] = []
 
     def recording_push(hop, ready, beat):
-        grants[hop].append(beat)
+        if hop.key == "returned":
+            grants[hop].append(beat)
         push(hop, ready, beat)
 
-    _ReturnHop.__init__, _ReturnHop.push = recording_init, recording_push
+    _Hop.__init__, _Hop.push = recording_init, recording_push
     try:
         yield grants
     finally:
-        _ReturnHop.__init__, _ReturnHop.push = init, push
+        _Hop.__init__, _Hop.push = init, push
 
 
 def _timed_and_replayed(t, d, c, syscfg, replay_cfg):
