@@ -104,9 +104,9 @@ def _load_workload(built):
 
 
 def _factors(tensor, system, seed):
-    """Random D and C at the system's rank, drawn only once the layout fits
-    the address space: a rank too large for it is refused before anything
-    that size is allocated."""
+    """Random D and C at the system's rank, whose rows are drawn as the run
+    reads them.  A layout that does not fit the address space refuses the
+    run here, before any work."""
     checked_layout(tensor, system)
     rank = system.fabric.rank
     d = FactorMatrix.random(tensor.dims[1], rank, seed + 1)

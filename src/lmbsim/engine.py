@@ -459,7 +459,7 @@ def verify_output(got: FactorMatrix, want: FactorMatrix):
 def checked_layout(tensor, syscfg: SystemConfig):
     """The workload's address map, refused with a ConfigurationError when it
     does not fit the DRAM's address space.  It allocates nothing, so a
-    caller can check a layout before it draws the factors."""
+    caller can refuse a run before any work."""
     amap = AddressMap.build(tensor.nnz, tensor.dims, syscfg.fabric.rank)
     bits = syscfg.dram.address_bits
     if amap.end > 1 << bits:

@@ -450,8 +450,8 @@ class MemoryImage:
         self._written = set()
         self.elements = list(zip(tensor.i.tolist(), tensor.j.tolist(),
                                  tensor.k.tolist()))
-        terms = d.values[tensor.j].astype(np.float64)
-        terms *= c.values[tensor.k]  # exact: a float32 product fits float64
+        terms = d.take(tensor.j).astype(np.float64)
+        terms *= c.take(tensor.k)  # exact: a float32 product fits float64
         terms *= tensor.vals[:, None]  # the one rounding
         self.terms = terms
 

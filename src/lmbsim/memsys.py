@@ -337,12 +337,8 @@ class CacheArray:
         self.sets = [[] for _ in range(cfg.num_sets)]  # MRU last
 
     def insert(self, line):
-        """Fill a line (a hit only refreshes it); returns the evicted line."""
+        """Fill a line that is not in its set; returns the evicted line."""
         s = self.sets[line % self.num_sets]
-        if line in s:
-            s.remove(line)
-            s.append(line)
-            return None
         victim = s.pop(0) if len(s) >= self.cfg.assoc else None
         s.append(line)
         return victim

@@ -101,24 +101,103 @@ class CooTensor:
         return f"CooTensor(dims={self.dims}, nnz={self.nnz})"
 
 
-@dataclass
+# A random factor draws the rows it lacks in runs: one PCG64 advance, then one
+# contiguous draw.  A run draws through a gap of at most _RUN_GAP values
+# rather than advance over it (the calls a new run makes cost about as much
+# as drawing that many), and draws at most _PIECE values at a time.
+_RUN_GAP = 2048   # 1024 64-bit outputs
+_PIECE = 1 << 19  # 2 MB of float32
+
+
 class FactorMatrix:
-    """Dense row-major factor matrix; rows are the fibers the fabric fetches."""
+    """Dense row-major factor matrix; rows are the fibers the fabric fetches.
 
-    rows: int
-    rank: int
-    values: np.ndarray  # (rows, rank) float32, C-order
+    `take(idx)` gathers rows, as `values[idx]` does.  A `random` matrix draws
+    a row only when `take` first reads it; reading `values` draws the whole
+    matrix, after which `take` reads from it.
+    """
 
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.float32)
-        if self.values.shape != (self.rows, self.rank):
+    def __init__(self, rows, rank, values):
+        self.rows = rows
+        self.rank = rank
+        self._values = np.ascontiguousarray(values, dtype=np.float32)
+        if self._values.shape != (rows, rank):
             raise ConfigurationError(
-                f"factor matrix shape {self.values.shape} != ({self.rows}, {self.rank})")
+                f"factor matrix shape {self._values.shape} != ({rows}, {rank})")
 
     @classmethod
     def random(cls, rows, rank, seed):
-        rng = np.random.default_rng(seed)
-        return cls(rows, rank, rng.random((rows, rank), dtype=np.float32))
+        """The matrix `default_rng(seed).random((rows, rank), dtype=float32)`,
+        drawn row by row as `take` reads it."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.rank = rank
+        m._values = None
+        m._seed = np.random.SeedSequence(seed)
+        m._slot = np.zeros(rows, dtype=np.int32)  # row -> row of _drawn; 0: not drawn
+        # row 0 stands for "not drawn" and takes no memory
+        m._drawn = np.broadcast_to(np.float32(0), (1, rank))
+        return m
+
+    @property
+    def values(self):
+        """The (rows, rank) float32 array, C-order; a random matrix draws it
+        whole on first read."""
+        if self._values is None:
+            self._values = np.random.Generator(np.random.PCG64(self._seed)).random(
+                (self.rows, self.rank), dtype=np.float32)
+            self._slot = self._drawn = None
+        return self._values
+
+    def take(self, idx):
+        """Rows `idx`, as `values[idx]`."""
+        if self._values is not None:
+            return self._values[idx]
+        slots = self._slot[idx]
+        if not slots.all():
+            missing = np.zeros(self.rows, dtype=bool)
+            missing[idx[slots == 0]] = True
+            self._draw(np.flatnonzero(missing))
+            slots = self._slot[idx]
+        return self._drawn[slots]
+
+    def _draw(self, rows):
+        """Draw the sorted, distinct `rows`.  Value (r, c) is the float32 the
+        dense draw makes (r * rank + c)-th: each 64-bit PCG64 output yields
+        two, low half first, and `advance` drops a half left over."""
+        rank = self.rank
+        bitgen = np.random.PCG64(self._seed)
+        gen = np.random.Generator(bitgen)
+        per_piece = max(1, _PIECE // rank)
+        cut = np.flatnonzero(((np.diff(rows) - 1) * rank > _RUN_GAP)
+                             | (np.diff(rows // per_piece) != 0)) + 1
+        lo = np.r_[0, cut]
+        hi = np.r_[cut, len(rows)]
+        base = len(self._drawn)
+        drawn = np.empty((base + len(rows), rank), dtype=np.float32)
+        drawn[:base] = self._drawn
+        # the longest run, and the half of an output its first row may skip
+        buf = np.empty(1 + rank * int((rows[hi - 1] - rows[lo]).max() + 1),
+                       dtype=np.float32)
+        pos = end = 0  # 64-bit outputs made; the row after the last drawn
+        for a, b, first, last in zip(lo.tolist(), hi.tolist(),
+                                     rows[lo].tolist(), rows[hi - 1].tolist()):
+            skip = 0
+            if first != end:  # jump the gap; else go on where the last run ended
+                bitgen.advance(first * rank // 2 - pos)
+                skip = first * rank % 2
+            end = last + 1
+            n = skip + (end - first) * rank
+            gen.random(dtype=np.float32, out=buf[:n])
+            # mode "clip" (the indices are in range) writes straight to `out`
+            np.take(buf[skip:n].reshape(-1, rank), rows[a:b] - first, axis=0,
+                    out=drawn[base + a:base + b], mode="clip")
+            pos = -(-end * rank // 2)
+        self._slot[rows] = np.arange(base, len(drawn))
+        self._drawn = drawn
+
+    def __repr__(self):
+        return f"FactorMatrix(rows={self.rows}, rank={self.rank})"
 
 
 @dataclass(frozen=True)
@@ -165,8 +244,8 @@ def mttkrp_oracle(tensor: CooTensor, d: FactorMatrix, c: FactorMatrix) -> Factor
             if bad.size:
                 raise DataError(f"element {int(bad[0])}: coordinate {axis} out of range")
         contrib = (tensor.vals.astype(np.float64)[:, None]
-                   * d.values[tensor.j].astype(np.float64)
-                   * c.values[tensor.k].astype(np.float64))
+                   * d.take(tensor.j).astype(np.float64)
+                   * c.take(tensor.k).astype(np.float64))
         # ufunc.at applies updates sequentially in element order, which keeps
         # the accumulation order identical to the per-element definition.
         np.add.at(out, tensor.i.astype(np.int64), contrib)

@@ -18,6 +18,19 @@ def pop_ready(wire, now):
     return None
 
 
+def cache_read(cache, line):
+    """One read of a `CacheArray` with its miss filled at once, as the lookup
+    pipe and a fill do it: a hit makes its line MRU in place, a miss goes to
+    `insert`.  Returns True on a hit."""
+    s = cache.sets[line % cache.num_sets]
+    if line in s:
+        s.remove(line)
+        s.append(line)
+        return True
+    cache.insert(line)
+    return False
+
+
 def off_at_origin(tensor, d, c):
     """The reference MTTKRP with its [0, 0] value one too high: patched in
     for `lmbsim.engine.mttkrp_oracle`, it makes any verified run mismatch."""

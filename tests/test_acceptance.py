@@ -25,7 +25,7 @@ from lmbsim.memsys import (MODES, CacheArray, CacheConfig, LmbConfig,
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, cp_als,
                            gen_synthetic, mttkrp_oracle)
 
-from refmodel import SetAssocLruRef, densify
+from refmodel import SetAssocLruRef, cache_read, densify
 from test_scripts import _load
 
 
@@ -239,9 +239,7 @@ def test_criterion_5_component_equivalence():
         ref = SetAssocLruRef(num_lines=256, assoc=2)
         for line in lines:
             line = int(line)
-            hit = line in cache.sets[line % cache.num_sets]
-            cache.insert(line)  # a fill of a hit line only refreshes it
-            if hit != ref.access(line):
+            if cache_read(cache, line) != ref.access(line):
                 mismatches += 1
     assert mismatches == 0
 

@@ -14,7 +14,7 @@ from lmbsim.memsys import (Beat, CacheArray, CacheConfig, DmaConfig, DmaEngine,
                            TempBuffer, TempBufferConfig, xor_hash, _FetchSlots)
 from lmbsim.queues import TimedFifo
 
-from refmodel import SetAssocLruRef, pop_ready
+from refmodel import SetAssocLruRef, cache_read, pop_ready
 
 
 # --- xor fold hash ------------------------------------------------------------
@@ -123,11 +123,7 @@ def test_cache_array_matches_reference(lines):
     cache = CacheArray(CacheConfig(num_lines=16, assoc=2))
     ref = SetAssocLruRef(num_lines=16, assoc=2)
     for line in lines:
-        # a lookup, then a fill on a miss; a fill of a hit line only
-        # refreshes it, as a hit does
-        hit = line in cache.sets[line % cache.num_sets]
-        cache.insert(line)
-        assert hit == ref.access(line)
+        assert cache_read(cache, line) == ref.access(line)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -154,7 +150,7 @@ def test_cache_insert_reports_lru_victim():
     cache = CacheArray(CacheConfig(num_lines=16, assoc=2))  # 8 sets
     assert cache.insert(0) is None
     assert cache.insert(8) is None   # same set as 0
-    assert cache.insert(0) is None   # a hit: 0 becomes MRU
+    assert cache_read(cache, 0)      # a hit: 0 becomes MRU
     assert cache.insert(16) == 8
 
 

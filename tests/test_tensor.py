@@ -1,9 +1,13 @@
 """Sparse tensor plumbing and the MTTKRP / CP-ALS reference kernels."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lmbsim import tensor as tensor_mod
 from lmbsim.errors import ConfigurationError, DataError
 from lmbsim.tensor import (CooTensor, FactorMatrix, GenSpec, cp_als,
                            gen_synthetic, mttkrp_mode, mttkrp_oracle)
@@ -300,3 +304,64 @@ def test_factor_matrix_validation():
         FactorMatrix(2, 2, np.zeros((3, 2), dtype=np.float32))
     m = FactorMatrix.random(4, 3, seed=0)
     assert m.values.shape == (4, 3) and m.values.dtype == np.float32
+
+
+# --- a random factor draws its rows as they are read -------------------------
+
+@st.composite
+def factor_reads(draw):
+    """(rows, rank, seed, piece, takes): index arrays that step just under
+    and just over the widest gap a run draws through, and span more rows
+    than one draw of at most `piece` values holds."""
+    rank = draw(st.integers(1, 40))
+    rows = draw(st.integers(1, 2_000) | st.integers(2_000, 100_000))
+    piece = draw(st.sampled_from((tensor_mod._PIECE, 1_000, 64)))
+    gap = tensor_mod._RUN_GAP // rank + 1   # the widest step a run draws through
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    takes = []
+    for n in range(draw(st.integers(1, 3))):
+        parts = []
+        for _ in range(draw(st.integers(n == 0, 3))):   # later takes may be empty
+            start = draw(st.integers(0, rows - 1))
+            if draw(st.booleans()):
+                span = draw(st.integers(1, 3 * max(1, piece // rank)))
+                parts.append(np.arange(start, min(rows, start + span)))
+            else:
+                steps = draw(st.lists(st.sampled_from((1, gap, gap + 1))
+                                      | st.integers(1, rows), min_size=1, max_size=30))
+                walk = start + np.cumsum([0, *steps])
+                parts.append(walk[walk < rows])
+        idx = np.concatenate([np.empty(0, dtype=np.int64), *parts])
+        idx = rng.permutation(np.repeat(idx, rng.integers(1, 3, idx.size)))
+        takes.append(idx.astype(np.uint32))
+    return rows, rank, draw(st.integers(0, 2**16)), piece, takes
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_reads())
+def test_random_factor_rows_equal_the_dense_draw(case):
+    rows, rank, seed, piece, takes = case
+    want = np.random.default_rng(seed).random((rows, rank), dtype=np.float32)
+    f = FactorMatrix.random(rows, rank, seed)
+    with mock.patch.object(tensor_mod, "_PIECE", piece):
+        for idx in takes:
+            got = f.take(idx)
+            assert got.dtype == np.float32 and got.shape == (idx.size, rank)
+            assert np.array_equal(got, want[idx])
+    assert np.array_equal(f.values, want)
+    f.values[takes[0]] = -1.0    # an edit in place shows in later reads
+    assert (f.take(takes[0]) == -1.0).all()
+
+
+def test_random_factor_draws_only_the_rows_it_reads():
+    idx = np.random.default_rng(0).integers(0, 1 << 20, 800).astype(np.uint32)
+    tracemalloc.start()
+    try:
+        f = FactorMatrix.random(1 << 20, 32, seed=3)   # 128 MB drawn whole
+        f.take(idx)
+        f.take(idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    assert f._values is None
