@@ -10,23 +10,29 @@ allowed), then moves ingress beats into bank queues with head-of-line
 blocking on a full queue, then starts new services on idle banks, same-cycle
 start allowed.
 
+A beat is the memory side's tuple (addr, useful, lmb, handler, token).  The
+router's return half is a pure delay, so the DRAM does it: a granted beat
+goes on its block's in_resp two cycles after the grant (see queues.py).
+
 The model is event-driven.  Beats in service sit in a heap keyed on the
 cycle their service ends, so completions cost O(log banks) each and nothing
-per idle cycle.  A count of finished beats waiting for the bus gates the
-round-robin grant scan, which runs only when that count is non-zero.  Only a
-bank granted the bus or handed a beat while idle can start a service, so
-step 3 looks at those banks alone.  At the end of a step `wake` is the
-earliest cycle at which the next step can do anything: the heap's top, the
-next cycle while a finished beat waits for the bus, or the ingress head's
-ready time.  A head blocked on a full bank queue is left out while that queue
-stays full; only a service start on its bank, in some later step, frees a
-slot.  Its blocked cycles are charged to hol_block_cycles once, when the wait
-ends: the step in which the head enters its queue adds the cycles since the
-head was first found blocked.
+per idle cycle.  A completed bank joins a sorted list of the banks waiting
+for the bus, and the round-robin grant bisects that list from the bank
+after the last one granted, wrapping to its start.  Only a bank granted the
+bus or handed a beat while idle can start a service, so step 3 looks at
+those banks alone, and a step that starts none allocates nothing.  At the
+end of a step `wake` is the earliest cycle at which the next step can do
+anything: the heap's top, the next cycle while a finished beat waits for the
+bus, or the ingress head's ready time.  A head blocked on a full bank queue
+is left out while that queue stays full; only a service start on its bank,
+in some later step, frees a slot.  Its blocked cycles are charged to
+hol_block_cycles once, when the wait ends: the step in which the head enters
+its queue adds the cycles since the head was first found blocked.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -60,13 +66,12 @@ class DramConfig:
 
 
 class _Bank:
-    __slots__ = ("queue", "open_row", "current", "done")
+    __slots__ = ("queue", "open_row", "beat")
 
     def __init__(self):
         self.queue = deque()   # (beat, row, arrival cycle)
         self.open_row = None
-        self.current = None    # beat in service
-        self.done = None       # serviced beat waiting for the bus
+        self.beat = None       # in service, or served and waiting for the bus
 
 
 class Dram:
@@ -81,11 +86,11 @@ class Dram:
         self._row_span = cfg.num_banks * (cfg.row_bytes // BEAT_BYTES)
         self.banks = [_Bank() for _ in range(cfg.num_banks)]
         self.ingress = TimedFifo(self)  # beats from the router
-        self.to_router = TimedFifo()    # completions, or a Router's return hop
+        self.blocks = []       # by block id: where a granted beat goes
         self.wake = INF        # step is a no-op before this cycle
         self._bus_rr = 0
         self._busy = []        # heap of (service end, bank index)
-        self._finished = 0     # serviced beats waiting for the bus
+        self._ready = []       # sorted indices of banks waiting for the bus
         self._hol = None       # (bank, row) of the ingress head while blocked
         self._hol_from = 0     # first cycle a step found that head blocked
         self.stats = {
@@ -105,37 +110,37 @@ class Dram:
         moved = False
         banks = self.banks
         busy = self._busy
+        ready = self._ready
         stats = self.stats
-        starts = []  # indices of banks that may start a service this cycle
+        starts = ()  # banks that may start a service this cycle
         # 1. completions, then one bus grant
         while busy and busy[0][0] <= now:
-            bank = banks[heappop(busy)[1]]
-            bank.done = bank.current
-            bank.current = None
-            self._finished += 1
+            insort(ready, heappop(busy)[1])
             moved = True
-        if self._finished:
-            n = len(banks)
-            i = self._bus_rr
-            while banks[i].done is None:
-                i = (i + 1) % n
+        if ready:
+            # round-robin: the first waiting bank from _bus_rr on, wrapping
+            k = bisect_left(ready, self._bus_rr)
+            i = ready.pop(k if k < len(ready) else 0)
+            self._bus_rr = i + 1
             bank = banks[i]
-            beat = bank.done
-            bank.done = None
-            self._finished -= 1
-            self._bus_rr = (i + 1) % n
+            beat = bank.beat
+            bank.beat = None
             stats["bus_bytes"] += BEAT_BYTES
-            stats["bus_useful_bytes"] += beat.useful
-            self.to_router.push(now + 1, beat)
+            stats["bus_useful_bytes"] += beat[1]
+            # one bus grant per cycle: on the block's in_resp two cycles on
+            block = self.blocks[beat[2]]
+            block.in_resp.append((now + 2, beat))
+            if now + 2 < block.wake:
+                block.wake = now + 2
             if bank.queue:
-                starts.append(i)
+                starts = (i,)
             moved = True
         # 2. ingress with head-of-line blocking
         ingress = self.ingress
         depth = self.queue_depth
         while ingress and ingress[0][0] <= now:
             beat = ingress[0][1]
-            loc = self._hol or self._locate(beat.addr)
+            loc = self._hol or self._locate(beat[0])
             bank = banks[loc[0]]
             if len(bank.queue) >= depth:
                 if self._hol is None:
@@ -146,8 +151,8 @@ class Dram:
                 stats["hol_block_cycles"] += now - self._hol_from
                 self._hol = None
             ingress.popleft()
-            if not bank.queue and bank.current is None and bank.done is None:
-                starts.append(loc[0])
+            if not bank.queue and bank.beat is None:
+                starts += (loc[0],)
             bank.queue.append((beat, loc[1], now))
             stats["beats"] += 1
             moved = True
@@ -162,7 +167,7 @@ class Dram:
                 service = self.t_row_miss
                 stats["row_misses"] += 1
             bank.open_row = row
-            bank.current = beat
+            bank.beat = beat
             heappush(busy, (now + service, i))
             stats["busy_cycles"] += service
             wait = now - arrived
@@ -172,7 +177,7 @@ class Dram:
             moved = True
         # wake: a finished beat is granted next cycle; otherwise the next
         # completion or the ingress head, unless that head is still blocked
-        if self._finished:
+        if ready:
             self.wake = now + 1
         else:
             wake = busy[0][0] if busy else INF
@@ -187,6 +192,5 @@ class Dram:
 
     def idle(self):
         # called once per run, so it may scan the bank queues
-        return (not self.ingress and not self.to_router and not self._busy
-                and not self._finished
+        return (not self.ingress and not self._busy and not self._ready
                 and not any(bank.queue for bank in self.banks))

@@ -5,10 +5,13 @@ Timing contract (every number below is load-bearing and tested):
   * Every hop between components is a timestamped wire with a 1-cycle delay:
     PE -> block intake, reductor stage 1 -> stage 2, stage 2 -> cache lookup,
     cache outcome -> fetch arbiter, arbiter -> router, router -> DRAM,
-    block -> PE (read data); DRAM bus -> router -> block takes two cycles
-    in one push (the router's return half is a pure delay, a _Hop), and
-    with one block so does arbiter -> router -> DRAM (the forward half is
-    then a pure delay too, another _Hop).
+    block -> PE (read data).  DRAM bus -> router -> block takes two cycles
+    in one send: the router's return half is a pure delay, so the DRAM
+    appends a granted beat to its block's in_resp two cycles on.  With one
+    block so does arbiter -> router -> DRAM: the forward half is then a
+    pure delay too, and the block's arbiter pushes onto the DRAM's ingress
+    two cycles on.  Each of these wires has one producer that sends at most
+    one beat per cycle, so its ready times are monotone as sent.
     Write acknowledgements toward the fabric are same-cycle credit pulses.
   * The cache lookup pipeline accepts one access per cycle; its outcome is
     visible pipeline_depth - 1 cycles after acceptance.  Fills bypass the
@@ -36,7 +39,7 @@ to that workload's deliver and clears `issued`, so a second answer to one
 request is refused.  Tags name requests only in traces and error messages.
 
 The engine steps every component once per loop iteration, except a router
-with no inputs (one block: both of its halves are hops).  The DRAM, the
+with no inputs (one block: both of its halves are pure delays).  The DRAM, the
 router and each block keep a `wake` cycle, and a step below it is a no-op:
 the component sets its wake at the end of each step, and a push onto an empty
 input wire lowers it (see queues.py).  The router's wake is its earliest
@@ -70,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dram import Dram, DramConfig
+from .dram import BEAT_BYTES, Dram, DramConfig
 from .errors import (ConfigurationError, DeadlockError, ProtocolError,
                      VerificationError)
 from .fabric import (AddressMap, FabricConfig, MemoryImage, MemoryRequest,
@@ -102,47 +105,30 @@ class SystemConfig:
             raise ConfigurationError("need at least one memory block")
 
 
-class _Hop:
-    """A half of the router with nothing to choose, as the wire its sender
-    pushes onto: a pure one-cycle delay.  A beat pushed for cycle t is on
-    wires[beat.lmb] for t + 1, counted in stats[key].  The return half (the
-    DRAM's output: one bus grant per cycle, no capacity limit) is always
-    one; the forward half is one for a lone block, whose arbiter sends at
-    most one beat per cycle.  It holds nothing, so it is always empty."""
-
-    __slots__ = ("wires", "stats", "key")
-
-    def __init__(self, wires, stats, key):
-        self.wires = wires
-        self.stats = stats
-        self.key = key
-
-    def push(self, ready, beat):
-        self.wires[beat.lmb].push(ready + 1, beat)
-        self.stats[self.key] += 1
-
-    def __len__(self):
-        return 0
-
-
 class Router:
-    """One beat per cycle toward DRAM (round-robin over blocks); the return
-    half fans completions back out to their block, one hop each way.
+    """The forward half: one beat per cycle toward DRAM, round-robin over
+    the blocks, on the DRAM's ingress one cycle on.  The return half is a
+    pure delay with nothing to choose, so it is the DRAM's own output: each
+    bus grant lands on its block's in_resp two cycles on (see dram.py).
 
-    The return half is a _Hop.  So is the forward half of a lone block (its
-    id is 0): the router then has no inputs, and the Simulator does not step
-    it.  Cleared, the test seam `_hop_lone_block` routes a lone block like
+    With a lone block (its id is 0) the forward half is a pure delay too:
+    the router wires the block's arbiter straight onto the DRAM's ingress,
+    two cycles on, so it has no inputs and the Simulator does not step it.
+    Cleared, the test seam `_direct_lone_block` routes a lone block like
     many, so a reference run can step the general path every cycle.
+    Both halves count from the DRAM: a beat forwarded is on its ingress or
+    in a bank, and a beat returned was granted the bus.
     """
 
-    _hop_lone_block = True
+    _direct_lone_block = True
 
     def __init__(self, lmbs, dram):
         self.dram = dram
         self._rr = 0
-        self.stats = {"forwarded": 0, "returned": 0}
-        if len(lmbs) == 1 and self._hop_lone_block:
-            lmbs[0].to_router = _Hop([dram.ingress], self.stats, "forwarded")
+        dram.blocks = lmbs
+        if len(lmbs) == 1 and self._direct_lone_block:
+            lmbs[0].to_router = dram.ingress
+            lmbs[0].send_delay = 2
             self.inputs = []
         else:
             self.inputs = [lmb.to_router for lmb in lmbs]
@@ -150,8 +136,12 @@ class Router:
             wire.owner = self
         # the wires may already hold beats
         self.wake = 0 if self.inputs else INF
-        dram.to_router = _Hop([lmb.in_resp for lmb in lmbs], self.stats,
-                              "returned")
+
+    @property
+    def stats(self):
+        dram = self.dram
+        return {"forwarded": dram.stats["beats"] + len(dram.ingress),
+                "returned": dram.stats["bus_bytes"] // BEAT_BYTES}
 
     def step(self, now):
         if now < self.wake:
@@ -164,7 +154,6 @@ class Router:
             if wire and wire[0][0] <= now:
                 self._rr = (self._rr + off + 1) % n
                 self.dram.ingress.push(now + 1, wire.popleft()[1])
-                self.stats["forwarded"] += 1
                 moved = True
                 break
         # the earliest input head, or the next cycle when one is already
@@ -350,7 +339,7 @@ class Simulator:
         now = 0
         last_progress = 0
         # the memory side in step order; a router with no inputs (one block,
-        # both halves hops) has nothing to step
+        # whose arbiter and the DRAM send past it) has nothing to step
         steps = [self.dram.step]
         if self.router.inputs:
             steps.append(self.router.step)

@@ -2,9 +2,9 @@
 
 The fabric walks the nonzeros of a mode-0 sorted COO tensor.  For each element
 it fetches the 16-byte element record, then one row of each side factor, and
-accumulates val * D[j, :] * C[k, :] into a per-row temporary.  When the output
-row index changes (or the partition ends) the temporary is flushed as a row
-write.  Two arrangements are modeled:
+accumulates val * D[j, :] * C[k, :] into its output row.  When the output row
+index changes (or the partition ends) the row is flushed as a row write.  Two
+arrangements are modeled:
 
   type1  one shared stream of elements with three memory ports (element loads,
          row loads, row stores), each port holding up to `max_outstanding`
@@ -17,13 +17,13 @@ results, request traces) and under the cycle engine (timing).  The memory
 side moves timing only: a request carries no data, and its answer is the
 request itself.  Each machine reads and writes the data in the MemoryImage
 on its own: an answered element load reads the coordinates its slot names,
-a commit adds the slot's term, and issuing a row store writes the output
-row.  Both runs therefore produce identical numerics.  The image computes
-every element's term (D[j, :] * C[k, :]) * val before the run, in float64
-and in one vectorized pass: the float32 by float32 product fits a float64
-significand, so only the scale by the value rounds.  Sums start from zero,
-are carried in float64 in element order, and are rounded to float32 once
-per flush.
+a commit takes the slot's term into its row, and issuing a row store writes
+the output row.  Both runs therefore produce identical numerics.  The image
+computes every element's term (D[j, :] * C[k, :]) * val before the run, in
+float64 and in one vectorized pass: the float32 by float32 product fits a
+float64 significand, so only the scale by the value rounds.  A row's sum is
+made once, at its flush: it starts from +0.0, is carried in float64 in
+element order, and is rounded to float32.
 
 Each slot counts its answers (the element, then its two rows) and commits
 at three.  Each machine counts the slots whose element is here and that still
@@ -200,8 +200,9 @@ class PeMachine:
     keeps no table of its requests in flight: each request carries the slot
     its answer fills and its port, and `outstanding` counts them per port.
     The data comes from `image`, not from the answers: an answered element
-    load reads the slot's coordinates, and a commit adds the slot's term,
-    `image.terms[z]`, to the row's float64 sum.
+    load reads the slot's coordinates, and a commit takes the slot's term,
+    `image.terms[z]`, into its row: the machine keeps the row's first
+    element, and the flush sums the row's terms at once, in element order.
 
     `row_wait` counts the slots whose element has arrived and that still
     have a row to issue: a delivered element adds one, issuing its C row
@@ -221,11 +222,11 @@ class PeMachine:
     """
 
     __slots__ = ("cfg", "hi", "next_z", "slots", "slot_cap",
-                 "cur_i", "temp_y", "acc_busy_until", "pending_flush",
+                 "cur_i", "row_z0", "acc_busy_until", "pending_flush",
                  "outstanding", "max_outstanding", "row_wait",
                  "_dispatch", "_write_port", "_fiber_port", "_elem_port",
                  "_row_bytes", "_d_base", "_c_base", "_out_base",
-                 "_tensor_base", "_next_tag",
+                 "_tensor_base", "_next_tag", "_zero",
                  "_elements", "_terms", "_image",
                  "issue_count", "accum_busy_cycles", "first_cycle", "last_cycle",
                  "want_step")
@@ -238,7 +239,8 @@ class PeMachine:
         self.slots = deque()
         self.slot_cap = cfg.max_outstanding * (2 if cfg.fabric_type == "type1" else 1)
         self.cur_i = None
-        self.temp_y = np.zeros(cfg.rank, dtype=np.float64)
+        self.row_z0 = lo  # the current row's first element
+        self._zero = np.zeros(cfg.rank)  # where a row's sum starts
         self.acc_busy_until = 0
         self.pending_flush = None
         self.max_outstanding = cfg.max_outstanding
@@ -299,20 +301,27 @@ class PeMachine:
             return
         if self.slots:
             head = self.slots[0]
-            if self.cur_i is not None and head.i != self.cur_i:
-                if self.pending_flush is not None:
-                    return  # previous row still waiting for the store port
-                self.pending_flush = (self.cur_i, self.temp_y.astype(np.float32))
-                self.temp_y.fill(0.0)
-            self.cur_i = head.i
-            self.temp_y += self._terms[head.z]
+            if head.i != self.cur_i:
+                if self.cur_i is not None:
+                    if self.pending_flush is not None:
+                        return  # previous row still waiting for the store port
+                    self._flush(head.z)
+                self.cur_i = head.i
+                self.row_z0 = head.z
             self.slots.popleft()
             self.acc_busy_until = now + self.cfg.accumulate_cycles
             self.accum_busy_cycles += self.cfg.accumulate_cycles
         else:
-            self.pending_flush = (self.cur_i, self.temp_y.astype(np.float32))
-            self.temp_y.fill(0.0)
+            self._flush(self.next_z)  # every element is committed
             self.cur_i = None
+
+    def _flush(self, z1):
+        """Queue the current row's store: its terms row_z0 to z1 - 1 summed
+        in element order in float64 from +0.0, rounded to float32 once."""
+        terms, z0 = self._terms, self.row_z0
+        row = (terms[z0] if z1 - z0 == 1
+               else np.add.accumulate(terms[z0:z1])[-1])
+        self.pending_flush = (self.cur_i, (self._zero + row).astype(np.float32))
 
     # -- request side ----------------------------------------------------
 

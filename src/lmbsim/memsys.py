@@ -40,9 +40,11 @@ arbiter's sources:
               intake looks at; the next step takes every one, because accept
               pushes for the cycle after the blocks have stepped.
 
-Every beat carries the block's handler for its answer and that handler's
-token, and comes back itself on in_resp, so an answer is applied with no
-dispatch on where its beat came from.
+A beat is a plain tuple (addr, useful, lmb, handler, token): its aligned
+address, the bytes of it its request uses, its block, the block's handler
+for its answer and that handler's token.  It comes back itself on in_resp,
+so an answer is handler(token, now), with no dispatch on where its beat
+came from.
 
 A step that moved nothing finds its next wake on the same wires in every mode
 (a wire the mode never feeds is empty): in_resp, in_cache and reductor stage
@@ -66,9 +68,11 @@ fabric.py).
 
 Timing contract: every arrow between stages is a 1-cycle timestamped wire.
 Within a cycle an Lmb first applies responses from memory, then advances the
-request side, then lets the port arbiter pick one beat for the router.  Read
-responses toward the fabric take a 1-cycle data hop; write acknowledgements
-are same-cycle credit pulses (the fabric steps after the memory side).
+request side, then lets the port arbiter pick one beat for the router (a
+lone block's arbiter sends it straight onto the DRAM's ingress, two cycles
+on, the second being the router's; see engine.py).  Read responses toward
+the fabric take a 1-cycle data hop; write acknowledgements are same-cycle
+credit pulses (the fabric steps after the memory side).
 """
 
 from __future__ import annotations
@@ -206,22 +210,6 @@ class LmbConfig:
                 f"unknown memory mode {self.mode!r}, expected one of {MODES}")
 
 
-class Beat:
-    """One 64-byte transfer on the memory side."""
-
-    __slots__ = ("lmb", "handler", "token", "addr", "useful")
-
-    def __init__(self, lmb, handler, token, addr, useful):
-        self.lmb = lmb
-        self.handler = handler  # handler(token, now) applies the answer
-        self.token = token
-        self.addr = addr
-        self.useful = useful
-
-    def __repr__(self):
-        return f"Beat(addr={self.addr:#x}, lmb={self.lmb}, token={self.token})"
-
-
 def _line_of(addr):
     return addr // BEAT_BYTES
 
@@ -247,10 +235,11 @@ class _Cursor:
     def beat(self, lmb, handler):
         """The next beat, with this cursor as its handler's token."""
         addr = self.addr
-        self.addr = addr + BEAT_BYTES
+        self.addr = nxt = addr + BEAT_BYTES
         self.left -= 1
-        return Beat(lmb, handler, self, addr,
-                    min(self.end, addr + BEAT_BYTES) - max(self.start, addr))
+        end, start = self.end, self.start
+        return ((addr, (end if end < nxt else nxt)
+                 - (start if start > addr else addr), lmb, handler, self))
 
 
 class _Port(_Cursor):
@@ -466,8 +455,10 @@ class Lmb:
         self.in_cache = TimedFifo(self)  # into the reductor or the splitter
         self.in_dma = TimedFifo(self)
         self.in_resp = TimedFifo(self)
-        # wires away from this block
+        # wires away from this block; the arbiter's beats are on to_router
+        # send_delay cycles on (a lone block's router rewires both)
         self.to_router = TimedFifo()
+        self.send_delay = 1
         self.to_fabric = TimedFifo()
         # internals
         self.stats = {
@@ -682,9 +673,9 @@ class Lmb:
             # write-through, no allocate: a hit only refreshes the line
             pipe.popleft()
             self.stats["write_beats"] += 1
-            self._wr_src.append((now + 1, Beat(self.lmb_id, self._answered,
-                                               waiter, line * BEAT_BYTES,
-                                               BEAT_BYTES)))
+            self._wr_src.append((now + 1, (line * BEAT_BYTES, BEAT_BYTES,
+                                           self.lmb_id, self._answered,
+                                           waiter)))
             return True
         if hit:
             pipe.popleft()
@@ -700,9 +691,8 @@ class Lmb:
         if new_fetch:
             # an element line serves one element per waiting request
             useful = ELEMENT_BYTES if kind is ReqKind.ELEM else BEAT_BYTES
-            self._cache_src.append((now + 1, Beat(self.lmb_id, self._fill,
-                                                  line, line * BEAT_BYTES,
-                                                  useful)))
+            self._cache_src.append((now + 1, (line * BEAT_BYTES, useful,
+                                              self.lmb_id, self._fill, line)))
         return True
 
     def _step_ip(self, now):
@@ -743,7 +733,7 @@ class Lmb:
         wire = self.in_resp
         while wire and wire[0][0] <= now:
             beat = wire.popleft()[1]
-            beat.handler(beat.token, now)
+            beat[3](beat[4], now)
             moved = True
         moved |= self._step_requests(now)
         # port arbiter: one beat per cycle toward the router, round-robin
@@ -751,7 +741,7 @@ class Lmb:
         src = self._lone_source
         if src is not None:
             if src and src[0][0] <= now:
-                self.to_router.push(now + 1, src.popleft()[1])
+                self.to_router.push(now + self.send_delay, src.popleft()[1])
                 moved = True
         else:
             sources = self._sources
@@ -761,7 +751,7 @@ class Lmb:
                 if src and src[0][0] <= now:
                     beat = src.popleft()[1]
                     self._arb_rr = (self._arb_rr + off + 1) % n
-                    self.to_router.push(now + 1, beat)
+                    self.to_router.push(now + self.send_delay, beat)
                     moved = True
                     break
         self.wake = now + 1 if moved else self._idle_wake(now)

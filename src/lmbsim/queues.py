@@ -27,7 +27,8 @@ same pairs, appended in place.  That is safe because neither service of
 the block sets its own wake from those wires at the end of each step, so
 there is no owner to wake; and each is appended at a fixed offset from the
 cycle of the step in progress, so its ready times are monotone by
-construction.
+construction.  A block's in_resp is appended in place too, by the DRAM, which
+lowers the block's wake itself; one bus grant per cycle keeps it monotone.
 """
 
 from collections import deque

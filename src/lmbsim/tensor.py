@@ -243,9 +243,10 @@ def mttkrp_oracle(tensor: CooTensor, d: FactorMatrix, c: FactorMatrix) -> Factor
             bad = np.nonzero(arr >= ext)[0]
             if bad.size:
                 raise DataError(f"element {int(bad[0])}: coordinate {axis} out of range")
-        contrib = (tensor.vals.astype(np.float64)[:, None]
-                   * d.take(tensor.j).astype(np.float64)
-                   * c.take(tensor.k).astype(np.float64))
+        # (val * D[j]) * C[k] in float64, in place: x * y == y * x
+        contrib = d.take(tensor.j).astype(np.float64)
+        contrib *= tensor.vals.astype(np.float64)[:, None]
+        contrib *= c.take(tensor.k)
         # ufunc.at applies updates sequentially in element order, which keeps
         # the accumulation order identical to the per-element definition.
         np.add.at(out, tensor.i.astype(np.int64), contrib)

@@ -4,10 +4,17 @@ Deliberately naive: straight-line lookups over Python lists, no shared code
 with the cache under test, so the two can disagree when one of them is wrong.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from lmbsim.errors import ConfigurationError
 from lmbsim.tensor import mttkrp_oracle
+
+
+# The fields of the memory side's beat tuples, in order: Beat(*beat) names
+# a beat's fields, and a Beat built here is a beat the simulator takes.
+Beat = namedtuple("Beat", "addr useful lmb handler token")
 
 
 def pop_ready(wire, now):

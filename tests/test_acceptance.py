@@ -99,6 +99,7 @@ def _preset_run(table, workload, mode):
     settings = cfgmod.default_settings()
     cfgmod.apply_preset(settings, table)
     cfgmod.apply_preset(settings, workload)
+    settings["run"]["verify"] = "true"
     return run_mode(settings, mode)
 
 
@@ -122,6 +123,7 @@ def test_criterion_2_speedup_ordering():
         for workload in ("synth01-mini", "synth02-mini"):
             reports = {mode: _preset_run(table, workload, mode)
                        for mode in MODES}
+            assert all(rep["verified"] for rep in reports.values())
             cycles = {mode: rep["total_cycles"] for mode, rep in reports.items()}
             assert cycles["proposed"] < cycles["dma-only"] \
                 < cycles["cache-only"] < cycles["ip-only"], \

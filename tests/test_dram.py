@@ -5,28 +5,45 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collections import deque
+
 from lmbsim.dram import Dram, DramConfig
 from lmbsim.errors import ConfigurationError
-from lmbsim.memsys import Beat
 from lmbsim.queues import INF
 
-from refmodel import pop_ready
+from refmodel import Beat
 
 
 def beat(addr, token=0, useful=64):
-    return Beat(lmb=0, handler=None, token=token, addr=addr, useful=useful)
+    return Beat(addr=addr, useful=useful, lmb=0, handler=None, token=token)
+
+
+class Sink:
+    """Block 0 as the DRAM sees it: a response wire and a wake."""
+
+    def __init__(self):
+        self.in_resp = deque()
+        self.wake = INF
+
+
+def dram(cfg):
+    d = Dram(cfg)
+    d.blocks = [Sink()]
+    return d
 
 
 def drain(dram, horizon=200000):
-    """Step until idle; returns [(visible_cycle, beat)] in bus-grant order."""
+    """Step until idle; returns [(visible_cycle, beat)] in bus-grant order,
+    where a beat is visible the cycle after its grant (it reaches its
+    block's in_resp one cycle later still, the router's return cycle)."""
     out = []
+    wire = dram.blocks[0].in_resp
     for now in range(horizon):
         dram.step(now)
-        while True:
-            item = pop_ready(dram.to_router, now)
-            if item is None:
-                break
-            out.append((now, item))
+        while wire:
+            ready, item = wire.popleft()
+            assert ready == now + 2
+            out.append((ready - 1, Beat(*item)))
         if dram.idle():
             return out
     raise AssertionError("dram did not drain")
@@ -35,7 +52,7 @@ def drain(dram, horizon=200000):
 # --- address mapping ----------------------------------------------------------
 
 def test_locate_interleaves_at_beat_granularity():
-    d = Dram(DramConfig())  # 16 banks, 4096-byte rows: 64 lines per row
+    d = dram(DramConfig())  # 16 banks, 4096-byte rows: 64 lines per row
     assert d._locate(0) == (0, 0)
     assert d._locate(64) == (1, 0)
     assert d._locate(15 * 64) == (15, 0)
@@ -45,7 +62,7 @@ def test_locate_interleaves_at_beat_granularity():
 
 
 def test_locate_masks_high_address_bits():
-    d = Dram(DramConfig())
+    d = dram(DramConfig())
     assert d._locate(1 << 31) == (0, 0)
     assert d._locate((1 << 31) + 64) == (1, 0)
     assert d._locate(123456) == d._locate(123456 + (1 << 31))
@@ -54,7 +71,7 @@ def test_locate_masks_high_address_bits():
 # --- open-row timing ----------------------------------------------------------
 
 def test_first_access_misses_then_same_row_hits():
-    d = Dram(DramConfig(num_banks=1))
+    d = dram(DramConfig(num_banks=1))
     d.ingress.push(0, beat(0, token="a"))
     d.ingress.push(0, beat(64, token="b"))  # same bank, same row
     done = drain(d)
@@ -68,7 +85,7 @@ def test_first_access_misses_then_same_row_hits():
 
 def test_row_change_misses_again():
     cfg = DramConfig(num_banks=1, row_bytes=128)  # 2 lines per row
-    d = Dram(cfg)
+    d = dram(cfg)
     for n, addr in enumerate((0, 64, 128)):  # rows 0, 0, 1
         d.ingress.push(0, beat(addr, token=n))
     drain(d)
@@ -77,7 +94,7 @@ def test_row_change_misses_again():
 
 
 def test_custom_timings_respected():
-    d = Dram(DramConfig(num_banks=1, t_row_hit=5, t_row_miss=9))
+    d = dram(DramConfig(num_banks=1, t_row_hit=5, t_row_miss=9))
     d.ingress.push(0, beat(0))
     d.ingress.push(0, beat(64))
     done = drain(d)
@@ -85,7 +102,7 @@ def test_custom_timings_respected():
 
 
 def test_busy_cycles_account_for_service_times():
-    d = Dram(DramConfig())
+    d = dram(DramConfig())
     for n in range(40):
         d.ingress.push(n, beat(n * 64, token=n))
     drain(d)
@@ -97,7 +114,7 @@ def test_busy_cycles_account_for_service_times():
 
 
 def test_sequential_stream_revisits_open_rows():
-    d = Dram(DramConfig())
+    d = dram(DramConfig())
     for n in range(17):  # 16 banks, line 16 returns to bank 0's open row
         d.ingress.push(0, beat(n * 64, token=n))
     drain(d)
@@ -113,7 +130,7 @@ def test_streaming_beats_random_rows_by_the_latency_ratio():
         ("seq", [n * 64 for n in range(128)]),
         ("rand", [(((37 * n) % 128) + 1) * 8192 for n in range(128)]),
     ):
-        d = Dram(DramConfig(num_banks=1, row_bytes=8192))
+        d = dram(DramConfig(num_banks=1, row_bytes=8192))
         for n, addr in enumerate(addrs):
             d.ingress.push(0, beat(addr, token=n))
         results[name] = drain(d)[-1][0]
@@ -130,7 +147,7 @@ def test_longer_miss_latency_never_helps():
                        for _ in range(40))
         by_timing = []
         for t_miss in (45, 60):
-            d = Dram(DramConfig(num_banks=4, queue_depth=2, t_row_miss=t_miss))
+            d = dram(DramConfig(num_banks=4, queue_depth=2, t_row_miss=t_miss))
             for n, (cycle, addr) in enumerate(trace):
                 d.ingress.push(cycle, beat(addr, token=n))
             by_timing.append({b.token: t for t, b in drain(d)})
@@ -141,7 +158,7 @@ def test_longer_miss_latency_never_helps():
 # --- bus arbitration ----------------------------------------------------------
 
 def test_one_bus_grant_per_cycle():
-    d = Dram(DramConfig(num_banks=4))
+    d = dram(DramConfig(num_banks=4))
     for n in range(4):
         d.ingress.push(0, beat(n * 64, token=n))
     done = drain(d)
@@ -151,7 +168,7 @@ def test_one_bus_grant_per_cycle():
 
 
 def test_bus_round_robin_is_fair_across_batches():
-    d = Dram(DramConfig(num_banks=2))
+    d = dram(DramConfig(num_banks=2))
     for n in range(4):
         d.ingress.push(0, beat(n * 64, token=n))
     done = drain(d)
@@ -162,7 +179,7 @@ def test_bus_round_robin_is_fair_across_batches():
 
 def test_head_of_line_blocking_delays_other_bank():
     cfg = DramConfig(num_banks=2, queue_depth=1)
-    d = Dram(cfg)
+    d = dram(cfg)
     # three beats for bank 0 ahead of one for bank 1
     for n, addr in enumerate((0, 128, 256)):
         d.ingress.push(0, beat(addr, token=f"b0_{n}"))
@@ -175,7 +192,7 @@ def test_head_of_line_blocking_delays_other_bank():
 
 
 def test_blocked_head_sleeps_until_its_bank_frees_a_slot():
-    d = Dram(DramConfig(num_banks=1, queue_depth=1))
+    d = dram(DramConfig(num_banks=1, queue_depth=1))
     for n in range(3):                        # one bank, one open row
         d.ingress.push(0, beat(n * 64, token=n))
     d.step(0)      # 0 starts, 1 blocks; the start frees the queue slot
@@ -194,7 +211,7 @@ def test_blocked_head_sleeps_until_its_bank_frees_a_slot():
 
 
 def test_wait_histogram_counts_every_beat():
-    d = Dram(DramConfig(num_banks=2))
+    d = dram(DramConfig(num_banks=2))
     for n in range(30):
         d.ingress.push(n // 3, beat(n * 64, token=n))
     drain(d)
@@ -205,7 +222,7 @@ def test_wait_histogram_counts_every_beat():
 
 
 def test_useful_bytes_tracked_separately():
-    d = Dram(DramConfig(num_banks=1))
+    d = dram(DramConfig(num_banks=1))
     d.ingress.push(0, beat(0, useful=16))
     d.ingress.push(0, beat(64, useful=4))
     drain(d)
@@ -216,7 +233,7 @@ def test_useful_bytes_tracked_separately():
 # --- event scheduling ---------------------------------------------------------
 
 def test_next_event_points_at_service_completion():
-    d = Dram(DramConfig(num_banks=1))
+    d = dram(DramConfig(num_banks=1))
     d.ingress.push(0, beat(0))
     d.step(0)  # service starts at cycle 0, busy until 45
     assert d.next_event(0) == 45
@@ -224,7 +241,7 @@ def test_next_event_points_at_service_completion():
 
 
 def test_idle_dram_reports_no_events():
-    d = Dram(DramConfig())
+    d = dram(DramConfig())
     assert d.idle()
     assert d.next_event(0) == INF
 
@@ -234,7 +251,7 @@ def test_idle_dram_reports_no_events():
                           st.integers(min_value=0, max_value=4095)),
                 min_size=1, max_size=60))
 def test_every_beat_is_eventually_granted(arrivals):
-    d = Dram(DramConfig(num_banks=4, queue_depth=2))
+    d = dram(DramConfig(num_banks=4, queue_depth=2))
     for n, (cycle, line) in enumerate(sorted(arrivals)):
         d.ingress.push(cycle, beat(line * 64, token=n))
     done = drain(d)

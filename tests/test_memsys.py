@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from lmbsim.engine import SystemConfig, replay_trace
 from lmbsim.errors import ConfigurationError
 from lmbsim.fabric import MemoryRequest, ReqKind
-from lmbsim.memsys import (Beat, CacheArray, CacheConfig, DmaConfig, DmaEngine,
-                           Lmb, LmbConfig, MshrConfig, RrshConfig, RrshTable,
+from lmbsim.memsys import (CacheArray, CacheConfig, DmaConfig, DmaEngine, Lmb,
+                           LmbConfig, MshrConfig, RrshConfig, RrshTable,
                            TempBuffer, TempBufferConfig, xor_hash, _FetchSlots)
 from lmbsim.queues import TimedFifo
 
-from refmodel import SetAssocLruRef, cache_read, pop_ready
+from refmodel import Beat, SetAssocLruRef, cache_read, pop_ready
 
 
 # --- xor fold hash ------------------------------------------------------------
@@ -194,7 +194,7 @@ def test_cache_pipe_depth_and_order():
     assert _miss_cycles(lmb, 6) == [2, 3]  # due depth - 1 cycles after entry
     # in order: fetch beats reach the router wire one hop and one
     # arbiter hop after their outcome
-    assert [(ready, beat.addr) for ready, beat in lmb.to_router] == \
+    assert [(ready, Beat(*beat).addr) for ready, beat in lmb.to_router] == \
         [(4, 0), (5, 64)]
 
 
@@ -219,7 +219,8 @@ def test_first_piece_enters_the_pipe_where_it_is_cut(fill):
     lmb.accept(make_req(ReqKind.ELEM, 0, 16), 4)             # cut at cycle 5
     if fill:
         lmb.fetch_slots.try_add(7, "w")
-        lmb.in_resp.push(5, Beat(0, lmb._fill, 7, 7 * 64, 16))
+        lmb.in_resp.push(5, Beat(addr=7 * 64, useful=16, lmb=0,
+                                 handler=lmb._fill, token=7))
         lmb._finish_read = lambda waiter, now, line: None
     assert _miss_cycles(lmb, 8) == ([6] if fill else [5])
     # the request is open: its one piece waits on line 0's fetch slot
@@ -271,7 +272,7 @@ def drain_beats(dma, limit=100):
     for _ in range(limit):
         if not dma.step(0):
             break
-    return [beat for _, beat in dma.src]
+    return [Beat(*beat) for _, beat in dma.src]
 
 
 def split_beats(addr, nbytes):
@@ -295,7 +296,7 @@ def ip_port_beats(req):
             beats.append(beat)
             lmb.in_resp.push(now + 1, beat)
     assert lmb.stats["responses"] == 1 and lmb._ports[0].req is None
-    return beats
+    return [Beat(*beat) for beat in beats]
 
 
 @settings(max_examples=60, deadline=None)
@@ -339,7 +340,7 @@ def test_dma_desc_slot_frees_at_last_beat_issue():
     # responses have not returned, but address generation finished
     assert dma.step(0)
     assert stats["descs"] == 2
-    assert [b.addr for _, b in dma.src] == [0, 64, 256]
+    assert [Beat(*b).addr for _, b in dma.src] == [0, 64, 256]
 
 
 def test_dma_credits_throttle_and_return():
@@ -353,7 +354,7 @@ def test_dma_credits_throttle_and_return():
         lmb.step(now)
         staged.append(len(lmb.dma.src))
     assert staged == [1, 0, 1, 0, 0, 0]
-    assert [(ready, beat.addr) for ready, beat in lmb.to_router] == \
+    assert [(ready, Beat(*beat).addr) for ready, beat in lmb.to_router] == \
         [(2, 0), (4, 64)]
     assert lmb.stats["credit_stall_cycles"] == 1
 
@@ -366,8 +367,8 @@ def test_dma_completion_fires_after_all_beats_respond():
         lmb.step(now)
     first, second = [beat for _, beat in lmb.to_router]
     lmb.to_router.clear()  # the router took both
-    desc = first.token
-    assert second.token is desc and desc.unanswered == 2
+    desc = Beat(*first).token
+    assert Beat(*second).token is desc and desc.unanswered == 2
     lmb.in_resp.push(10, second)
     lmb.step(10)
     assert not lmb.to_fabric and desc.unanswered == 1

@@ -99,6 +99,35 @@ def test_oracle_scales_linearly(coords, seed):
                           4.0 * mttkrp_oracle(t1, d, c).values)
 
 
+f32s = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 5])
+@settings(max_examples=25, deadline=None)
+@given(coords=st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                st.integers(0, 3)), min_size=1, max_size=20),
+       data=st.data())
+def test_oracle_bytes_equal_the_three_array_product(rank, coords, data):
+    # the oracle builds (D[j] * val) * C[k] in place; the three-array form
+    # (val * D[j]) * C[k] it replaced must give the same bytes
+    coords = sorted(coords)
+    vals = data.draw(st.lists(f32s, min_size=len(coords),
+                              max_size=len(coords)))
+    t = make_tensor((4, 4, 4), coords, vals)
+    d, c = (FactorMatrix(4, rank, np.array(
+        data.draw(st.lists(f32s, min_size=4 * rank, max_size=4 * rank)),
+        dtype=np.float32).reshape(4, rank)) for _ in range(2))
+    want = np.zeros((4, rank), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(want, t.i.astype(np.int64),
+                  t.vals.astype(np.float64)[:, None]
+                  * d.values[t.j].astype(np.float64)
+                  * c.values[t.k].astype(np.float64))
+        got = mttkrp_oracle(t, d, c).values
+        want = want.astype(np.float32)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_mode_permutations_match_dense():
     rng = np.random.default_rng(5)
     coords = sorted({(rng.integers(0, 4), rng.integers(0, 5), rng.integers(0, 6))
