@@ -48,15 +48,13 @@ def _add_config_args(p):
                    help="override one setting (repeatable)")
 
 
-def _resolve(args, extra=()):
+def _resolve(args):
     settings = cfgmod.default_settings()
     if getattr(args, "config", None):
         cfgmod.apply_file(settings, args.config)
     for name in args.preset:
         cfgmod.apply_preset(settings, name)
-    for spec in args.overrides:
-        cfgmod.apply_override(settings, spec)
-    for spec in extra:
+    for spec in args.overrides + _flag_overrides(args):
         cfgmod.apply_override(settings, spec)
     return settings
 
@@ -226,7 +224,7 @@ def _parse_trace_file(path, system):
 
 
 def cmd_gen(args):
-    settings = _resolve(args, extra=_flag_overrides(args))
+    settings = _resolve(args)
     built = cfgmod.build(settings)
     tensor = gen_synthetic(built.gen)
     binary = args.binary or args.out.endswith((".bin", ".coob"))
@@ -250,9 +248,9 @@ def cmd_gen(args):
 
 
 def cmd_run(args):
-    settings = _resolve(args, extra=_flag_overrides(args))
+    settings = _resolve(args)
     built = cfgmod.build(settings)
-    flat = cfgmod.flat_settings(settings)
+    flat = dict(_flatten(settings))
     _check_output_paths(args.out, "" if args.trace_in else built.trace_path)
     if args.trace_in:
         records = _parse_trace_file(args.trace_in, built.system)
@@ -366,7 +364,7 @@ SWEEP_ORDER = ("proposed", "dma-only", "cache-only", "ip-only")
 def cmd_sweep(args):
     if args.jobs < 1:
         raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
-    settings = _resolve(args, extra=_flag_overrides(args))
+    settings = _resolve(args)
     built = cfgmod.build(settings)
     for mode in built.sweep_modes:
         if mode not in MODES:
@@ -416,7 +414,7 @@ def cmd_sweep(args):
 
 
 def cmd_cpd(args):
-    settings = _resolve(args, extra=_flag_overrides(args))
+    settings = _resolve(args)
     built = cfgmod.build(settings)
     _check_output_paths(args.out)
     tensor, name = _load_workload(built)

@@ -4,13 +4,17 @@ Precedence, lowest to highest: built-in defaults, then the --config file, then
 each --preset in the order given, then individual --set/flag overrides.  Every
 (section, key) must exist in the schema below; an unknown one is rejected with
 its file line when it came from a file.
+
+A class-backed setting's default lives on its config class alone; DEFAULTS
+and build() are made from the classes.  A new such setting is a field on its
+class plus one line in configs/example.ini.
 """
 
 from __future__ import annotations
 
 import configparser
 import copy
-from dataclasses import dataclass
+import dataclasses
 
 from .dram import DramConfig
 from .engine import SystemConfig
@@ -20,9 +24,27 @@ from .memsys import (CacheConfig, DmaConfig, LmbConfig, MshrConfig, RrshConfig,
                      TempBufferConfig)
 from .tensor import GenSpec
 
+# INI keys that are not their field's name
+_RENAMED = {"fabric_type": "type", "num_lines": "lines", "num_banks": "banks"}
+
+# each class-backed section: its class, and (key, field, default) per field
+_LEAVES = {
+    sec: (cls, tuple((_RENAMED.get(f.name, f.name), f.name, f.default)
+                     for f in dataclasses.fields(cls)))
+    for sec, cls in (("fabric", FabricConfig), ("cache", CacheConfig),
+                     ("rrsh", RrshConfig), ("tempbuf", TempBufferConfig),
+                     ("dmaengine", DmaConfig), ("mshr", MshrConfig),
+                     ("dram", DramConfig))
+}
+
+
+def _leaf_defaults(sec):
+    return {key: str(default) for key, _, default in _LEAVES[sec][1]}
+
+
 DEFAULTS = {
     "run": {
-        "mode": "proposed",
+        "mode": LmbConfig().mode,
         "verify": "false",
         "seed": "0",
     },
@@ -33,46 +55,12 @@ DEFAULTS = {
         "seed": "7",
         "distribution": "uniform",
     },
-    "fabric": {
-        "type": "type2",
-        "pe_count": "8",
-        "max_outstanding": "16",
-        "accumulate_cycles": "1",
-        "rank": "32",
-    },
+    "fabric": _leaf_defaults("fabric"),
     "memsys": {
-        "num_lmbs": "1",
+        "num_lmbs": str(SystemConfig().num_lmbs),
     },
-    "cache": {
-        "lines": "8192",
-        "assoc": "2",
-        "pipeline_depth": "3",
-        "miss_slots": "16",
-    },
-    "rrsh": {
-        "entries": "4096",
-        "ways": "4",
-        "pending_cap": "64",
-    },
-    "tempbuf": {
-        "entries": "8",
-    },
-    "dmaengine": {
-        "buffers": "4",
-        "buffer_bytes": "256",
-        "desc_slots": "8",
-    },
-    "mshr": {
-        "entries": "8",
-    },
-    "dram": {
-        "banks": "16",
-        "row_bytes": "4096",
-        "t_row_hit": "20",
-        "t_row_miss": "45",
-        "queue_depth": "8",
-        "address_bits": "31",
-    },
+    **{sec: _leaf_defaults(sec)
+       for sec in ("cache", "rrsh", "tempbuf", "dmaengine", "mshr", "dram")},
     "sweep": {
         "ranks": "32",
         "modes": "proposed dma-only cache-only ip-only",
@@ -108,33 +96,17 @@ PRESETS = {
             ("fabric", "pe_count"): "8",
         },
     },
-    "baseline-ip-only": {
-        "description": "conventional single block, raw port per PE",
+    **{f"baseline-{mode}": {
+        "description": f"conventional single block, {what}",
         "values": {
-            ("run", "mode"): "ip-only",
+            ("run", "mode"): mode,
             ("memsys", "num_lmbs"): "1",
             ("cache", "lines"): "8192",
             ("cache", "assoc"): "2",
         },
-    },
-    "baseline-cache-only": {
-        "description": "conventional single block, everything through the cache",
-        "values": {
-            ("run", "mode"): "cache-only",
-            ("memsys", "num_lmbs"): "1",
-            ("cache", "lines"): "8192",
-            ("cache", "assoc"): "2",
-        },
-    },
-    "baseline-dma-only": {
-        "description": "conventional single block, everything as DMA descriptors",
-        "values": {
-            ("run", "mode"): "dma-only",
-            ("memsys", "num_lmbs"): "1",
-            ("cache", "lines"): "8192",
-            ("cache", "assoc"): "2",
-        },
-    },
+    } for mode, what in (("ip-only", "raw port per PE"),
+                         ("cache-only", "everything through the cache"),
+                         ("dma-only", "everything as DMA descriptors"))},
     "synth01-mini": {
         "description": "scattered synthetic workload, 27343 nonzeros",
         "values": {
@@ -266,7 +238,7 @@ def _as_str_list(settings, sec, key):
     return tuple(settings[sec][key].replace(",", " ").split())
 
 
-@dataclass
+@dataclasses.dataclass
 class BuiltConfig:
     """Fully typed view of one resolved settings tree."""
 
@@ -282,45 +254,18 @@ class BuiltConfig:
 
 
 def build(settings) -> BuiltConfig:
-    fabric = FabricConfig(
-        fabric_type=settings["fabric"]["type"].strip(),
-        pe_count=_as_int(settings, "fabric", "pe_count"),
-        max_outstanding=_as_int(settings, "fabric", "max_outstanding"),
-        accumulate_cycles=_as_int(settings, "fabric", "accumulate_cycles"),
-        rank=_as_int(settings, "fabric", "rank"),
-    )
-    lmb = LmbConfig(
-        mode=settings["run"]["mode"].strip(),
-        cache=CacheConfig(
-            num_lines=_as_int(settings, "cache", "lines"),
-            assoc=_as_int(settings, "cache", "assoc"),
-            pipeline_depth=_as_int(settings, "cache", "pipeline_depth"),
-            miss_slots=_as_int(settings, "cache", "miss_slots"),
-        ),
-        rrsh=RrshConfig(
-            entries=_as_int(settings, "rrsh", "entries"),
-            ways=_as_int(settings, "rrsh", "ways"),
-            pending_cap=_as_int(settings, "rrsh", "pending_cap"),
-        ),
-        tempbuf=TempBufferConfig(entries=_as_int(settings, "tempbuf", "entries")),
-        dma=DmaConfig(
-            buffers=_as_int(settings, "dmaengine", "buffers"),
-            buffer_bytes=_as_int(settings, "dmaengine", "buffer_bytes"),
-            desc_slots=_as_int(settings, "dmaengine", "desc_slots"),
-        ),
-        mshr=MshrConfig(entries=_as_int(settings, "mshr", "entries")),
-    )
-    dram = DramConfig(
-        num_banks=_as_int(settings, "dram", "banks"),
-        row_bytes=_as_int(settings, "dram", "row_bytes"),
-        t_row_hit=_as_int(settings, "dram", "t_row_hit"),
-        t_row_miss=_as_int(settings, "dram", "t_row_miss"),
-        queue_depth=_as_int(settings, "dram", "queue_depth"),
-        address_bits=_as_int(settings, "dram", "address_bits"),
-    )
-    system = SystemConfig(fabric=fabric, lmb=lmb,
+    leaf = {
+        sec: cls(**{name: _as_int(settings, sec, key)
+                    if isinstance(default, int) else settings[sec][key].strip()
+                    for key, name, default in fields})
+        for sec, (cls, fields) in _LEAVES.items()
+    }
+    lmb = LmbConfig(mode=settings["run"]["mode"].strip(), cache=leaf["cache"],
+                    rrsh=leaf["rrsh"], tempbuf=leaf["tempbuf"],
+                    dma=leaf["dmaengine"], mshr=leaf["mshr"])
+    system = SystemConfig(fabric=leaf["fabric"], lmb=lmb,
                           num_lmbs=_as_int(settings, "memsys", "num_lmbs"),
-                          dram=dram)
+                          dram=leaf["dram"])
     dims = _as_int_list(settings, "tensor", "dims")
     if len(dims) != 3:
         raise ConfigurationError(f"tensor.dims needs three extents, got {dims}")
@@ -342,8 +287,3 @@ def build(settings) -> BuiltConfig:
         trace_path=settings["output"]["trace"].strip(),
     )
 
-
-def flat_settings(settings):
-    """section.key view of the resolved settings, for run reports."""
-    return {f"{sec}.{key}": settings[sec][key]
-            for sec in DEFAULTS for key in DEFAULTS[sec]}

@@ -260,7 +260,7 @@ class Simulator:
             now = self._now
             if self.route_by_pe:
                 req.lmb = req.pe % self.cfg.num_lmbs
-            if not 0 <= req.lmb < self.cfg.num_lmbs:
+            elif not 0 <= req.lmb < self.cfg.num_lmbs:
                 raise ConfigurationError(
                     f"request targets block {req.lmb}, only "
                     f"{self.cfg.num_lmbs} configured")

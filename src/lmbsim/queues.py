@@ -17,18 +17,15 @@ fabric.  Its `push` lowers the owner's `wake` to the item's ready time when
 the wire was empty, so a component asleep until its wake learns of new input
 without scanning its wires; a push onto a non-empty wire need not, because
 the owner's wake already covers the head, or the head is blocked and the new
-item waits behind it.  `push` also clamps ready times to be monotone, which
-keeps delivery in order.
+item waits behind it.  `push` leaves ready times as given: a consumer reads
+only a wire's head, so an item queued behind a later-ready head waits for it.
 
 The stage wires inside a memory block (reductor stage 2, the lookup intake,
 and the fetch, write, DMA and raw-port beat sources) are plain deques of the
-same pairs, appended in place.  That is safe because neither service of
-`push` applies to them: only the block that appends to one reads it, and
-the block sets its own wake from those wires at the end of each step, so
-there is no owner to wake; and each is appended at a fixed offset from the
-cycle of the step in progress, so its ready times are monotone by
-construction.  A block's in_resp is appended in place too, by the DRAM, which
-lowers the block's wake itself; one bus grant per cycle keeps it monotone.
+same pairs, appended in place.  That is safe because there is no owner to
+wake: only the block that appends to one reads it, and the block sets its
+own wake from those wires at the end of each step.  A block's in_resp is
+appended in place too, by the DRAM, which lowers the block's wake itself.
 """
 
 from collections import deque
@@ -44,10 +41,6 @@ class TimedFifo(deque):
         self.owner = owner
 
     def push(self, ready, item):
-        if self:
-            # In-order delivery: ready times must be monotone per wire.
-            if ready < self[-1][0]:
-                ready = self[-1][0]
-        elif self.owner is not None and ready < self.owner.wake:
+        if not self and self.owner is not None and ready < self.owner.wake:
             self.owner.wake = ready
         self.append((ready, item))

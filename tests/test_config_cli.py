@@ -1,6 +1,7 @@
 """Settings resolution and the command line front end."""
 
 import configparser
+import dataclasses
 import io
 import json
 import os
@@ -148,8 +149,72 @@ def test_defaults_are_single_sourced():
         cfgmod.DEFAULTS
 
 
+# every class-backed INI key, a legal non-default value for it, and the
+# SystemConfig field that value must reach
+CLASS_BACKED = (
+    ("run.mode", "ip-only", "lmb.mode"),
+    ("memsys.num_lmbs", "2", "num_lmbs"),
+    ("fabric.type", "type1", "fabric.fabric_type"),
+    ("fabric.pe_count", "3", "fabric.pe_count"),
+    ("fabric.max_outstanding", "5", "fabric.max_outstanding"),
+    ("fabric.accumulate_cycles", "2", "fabric.accumulate_cycles"),
+    ("fabric.rank", "9", "fabric.rank"),
+    ("cache.lines", "4096", "lmb.cache.num_lines"),
+    ("cache.assoc", "4", "lmb.cache.assoc"),
+    ("cache.pipeline_depth", "6", "lmb.cache.pipeline_depth"),
+    ("cache.miss_slots", "7", "lmb.cache.miss_slots"),
+    ("rrsh.entries", "2048", "lmb.rrsh.entries"),
+    ("rrsh.ways", "2", "lmb.rrsh.ways"),
+    ("rrsh.pending_cap", "33", "lmb.rrsh.pending_cap"),
+    ("tempbuf.entries", "11", "lmb.tempbuf.entries"),
+    ("dmaengine.buffers", "13", "lmb.dma.buffers"),
+    ("dmaengine.buffer_bytes", "128", "lmb.dma.buffer_bytes"),
+    ("dmaengine.desc_slots", "14", "lmb.dma.desc_slots"),
+    ("mshr.entries", "15", "lmb.mshr.entries"),
+    ("dram.banks", "8", "dram.num_banks"),
+    ("dram.row_bytes", "2048", "dram.row_bytes"),
+    ("dram.t_row_hit", "21", "dram.t_row_hit"),
+    ("dram.t_row_miss", "50", "dram.t_row_miss"),
+    ("dram.queue_depth", "17", "dram.queue_depth"),
+    ("dram.address_bits", "30", "dram.address_bits"),
+)
+
+
+def _system_fields(cfg, prefix=""):
+    """dotted field path -> value of every leaf field under `cfg`."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update(_system_fields(value, f"{prefix}{f.name}."))
+        else:
+            out[f"{prefix}{f.name}"] = value
+    return out
+
+
+def test_every_class_backed_key_reaches_its_own_field():
+    base = _system_fields(SystemConfig())
+    # the table covers every key a config class backs, and nothing else
+    assert {key for key, _, _ in CLASS_BACKED} == {
+        f"{sec}.{key}" for sec in cfgmod.DEFAULTS for key in cfgmod.DEFAULTS[sec]
+        if sec not in ("tensor", "sweep", "output")
+        and (sec, key) not in (("run", "verify"), ("run", "seed"))}
+    assert len({path for _, _, path in CLASS_BACKED}) == len(base) == 25
+    for key, value, path in CLASS_BACKED:
+        s = cfgmod.default_settings()
+        cfgmod.apply_override(s, f"{key}={value}")
+        got = _system_fields(cfgmod.build(s).system)
+        changed = {p for p in base if got[p] != base[p]}
+        assert changed == {path}, key
+        assert str(got[path]) == value, key
+
+
 def test_flat_settings_view():
-    flat = cfgmod.flat_settings(cfgmod.default_settings())
+    # the run report's config view: one flattening of the settings tree
+    flat = dict(cli._flatten(cfgmod.default_settings()))
+    assert flat == {f"{sec}.{key}": value
+                    for sec, keys in cfgmod.DEFAULTS.items()
+                    for key, value in keys.items()}
     assert flat["fabric.rank"] == "32"
     assert flat["dram.banks"] == "16"
     assert "memsys.num_lmbs" in flat

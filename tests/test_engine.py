@@ -234,6 +234,16 @@ def test_dma_only_scalar_loads_waste_three_quarters_of_the_bus():
     assert rep["bus"]["wasted_bytes"] == 480
 
 
+@pytest.mark.parametrize("block", [-1, 2])
+def test_replay_refuses_a_record_on_a_block_not_configured(block):
+    # the trace path's own check, not the CLI's record parser
+    records = _scan_records(2) + [(2, "elem", block, 0, 128, 16, 2)]
+    with pytest.raises(ConfigurationError,
+                       match=rf"request targets block {block}, only 2 "
+                             "configured"):
+        replay_trace(records, system(num_lmbs=2))
+
+
 class StubBlock:
     def __init__(self):
         self.to_router = TimedFifo()
