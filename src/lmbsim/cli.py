@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import io
 import json
 import multiprocessing
@@ -194,27 +193,25 @@ def _parse_trace_file(path, system):
     records = []
     tags = set()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                body = line.strip()
-                if not body or body.startswith("#"):
-                    continue
-                parts = body.split()
-                if len(parts) != 7:
-                    raise DataError(
-                        f"{path} line {lineno}: expected 7 fields, got {len(parts)}")
-                try:
-                    rec = (int(parts[0]), parts[1], int(parts[2]),
-                           int(parts[3]), int(parts[4]), int(parts[5]),
-                           int(parts[6]))
-                except ValueError:
-                    raise DataError(
-                        f"{path} line {lineno}: malformed trace record") from None
-                problem = _trace_record_problem(rec, tags, system)
-                if problem:
-                    raise DataError(f"{path} line {lineno}: {problem}")
-                tags.add(rec[6])
-                records.append(rec)
+        for lineno, body in tensor_io._text_lines(path, "not UTF-8 text"):
+            if not body or body.startswith("#"):
+                continue
+            parts = body.split()
+            if len(parts) != 7:
+                raise DataError(
+                    f"{path} line {lineno}: expected 7 fields, got {len(parts)}")
+            try:
+                rec = (int(parts[0]), parts[1], int(parts[2]),
+                       int(parts[3]), int(parts[4]), int(parts[5]),
+                       int(parts[6]))
+            except ValueError:
+                raise DataError(
+                    f"{path} line {lineno}: malformed trace record") from None
+            problem = _trace_record_problem(rec, tags, system)
+            if problem:
+                raise DataError(f"{path} line {lineno}: {problem}")
+            tags.add(rec[6])
+            records.append(rec)
     except OSError as exc:
         raise DataError(f"cannot read trace file {path}: {exc}") from None
     return records
@@ -420,8 +417,7 @@ def cmd_cpd(args):
     tensor, name = _load_workload(built)
     kernel = None
     if args.use_fabric:
-        kernel = fabric_mttkrp_kernel(
-            dataclasses.replace(built.system.fabric, rank=args.cp_rank))
+        kernel = fabric_mttkrp_kernel(built.system.fabric)
     result = cp_als(tensor, args.cp_rank, max_iters=args.iters, tol=args.tol,
                     seed=built.seed, mttkrp=kernel)
     report = {
@@ -513,8 +509,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, DataError) as exc:
-        _note(f"error: {exc}")
+    except (ConfigurationError, DataError, MemoryError) as exc:
+        _note(f"error: {exc or 'out of memory'}")
         return 2
     except VerificationError as exc:
         _note(f"verification failed: {exc}")

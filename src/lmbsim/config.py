@@ -170,7 +170,7 @@ def apply_file(settings, path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from None
     return apply_ini_text(settings, text, origin=str(path))
 

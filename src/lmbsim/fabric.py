@@ -170,6 +170,11 @@ class FabricConfig:
         if self.rank < 1:
             raise ConfigurationError("rank must be positive")
 
+    @property
+    def slot_cap(self):
+        """Elements a PE machine keeps in flight: two per port on type1."""
+        return self.max_outstanding * (2 if self.fabric_type == "type1" else 1)
+
 
 class _Slot:
     """One element in flight; a machine's slots are in element order.  `z`
@@ -237,7 +242,7 @@ class PeMachine:
         self.hi = hi
         self.next_z = lo
         self.slots = deque()
-        self.slot_cap = cfg.max_outstanding * (2 if cfg.fabric_type == "type1" else 1)
+        self.slot_cap = cfg.slot_cap
         self.cur_i = None
         self.row_z0 = lo  # the current row's first element
         self._zero = np.zeros(cfg.rank)  # where a row's sum starts
@@ -508,7 +513,8 @@ def run_functional(tensor: CooTensor, d: FactorMatrix, c: FactorMatrix,
     pending = deque()  # (ready_cycle, the issuer's deliver, request)
     now = 0
     guard = 0
-    guard_limit = 100 * max(tensor.nnz, 1) + 10000
+    # a busy accumulator keeps its machine stepping every cycle
+    guard_limit = (100 + cfg.accumulate_cycles) * max(tensor.nnz, 1) + 10000
 
     def make_sink(mach):
         deliver = mach.deliver

@@ -109,6 +109,17 @@ def xor_hash(value, buckets):
     return h
 
 
+def _check_sets(count, things, ways, set_name):
+    """Refuse `count` things that do not fill `ways`-way sets whose count is
+    a positive power of two."""
+    if ways < 1 or count % ways:
+        raise ConfigurationError(f"{count} {things} not divisible into {ways} ways")
+    sets = count // ways
+    if sets < 1 or sets & (sets - 1):
+        raise ConfigurationError(
+            f"{set_name} count {sets} is not a positive power of two")
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     num_lines: int = 8192
@@ -117,13 +128,7 @@ class CacheConfig:
     miss_slots: int = 16
 
     def __post_init__(self):
-        if self.assoc < 1 or self.num_lines % self.assoc:
-            raise ConfigurationError(
-                f"{self.num_lines} lines not divisible into {self.assoc} ways")
-        sets = self.num_lines // self.assoc
-        if sets < 1 or sets & (sets - 1):
-            raise ConfigurationError(
-                f"set count {sets} is not a positive power of two")
+        _check_sets(self.num_lines, "lines", self.assoc, "set")
         if self.pipeline_depth < 1:
             raise ConfigurationError("pipeline depth must be at least 1")
         if self.miss_slots < 1:
@@ -141,13 +146,7 @@ class RrshConfig:
     pending_cap: int = 64
 
     def __post_init__(self):
-        if self.ways < 1 or self.entries % self.ways:
-            raise ConfigurationError(
-                f"{self.entries} entries not divisible into {self.ways} ways")
-        buckets = self.entries // self.ways
-        if buckets < 1 or buckets & (buckets - 1):
-            raise ConfigurationError(
-                f"bucket count {buckets} is not a positive power of two")
+        _check_sets(self.entries, "entries", self.ways, "bucket")
         if self.pending_cap < 1:
             raise ConfigurationError("pending cap must be positive")
 
@@ -603,26 +602,20 @@ class Lmb:
         # reductor stage 2: coalescing table, one request per cycle
         stage2 = self._stage2
         if stage2 and stage2[0][0] <= now:
-            req, line = stage2[0][1]
-            entry = self.rrsh.lookup(line)
-            if entry is not None:
-                if self.rrsh.can_take_waiter():
-                    stage2.popleft()
-                    self.rrsh.add_waiter(line, req)
+            rrsh = self.rrsh
+            if not rrsh.can_take_waiter():
+                self.stats["rrsh_stall_cycles"] += 1
+            else:
+                req, line = stage2.popleft()[1]
+                if rrsh.lookup(line) is not None:
+                    rrsh.add_waiter(line, req)
                     self.stats["coalesced"] += 1
-                    moved = True
-                else:
-                    self.stats["rrsh_stall_cycles"] += 1
-            elif self.rrsh.can_take_waiter():
-                stage2.popleft()
-                if self.rrsh.allocate(line, req):
+                elif rrsh.allocate(line, req):
                     self._intake.append((now + 1, (ReqKind.ELEM, "rrsh", line)))
                 else:
                     self.stats["rrsh_bypass"] += 1
                     self._intake.append((now + 1, (ReqKind.ELEM, req, line)))
                 moved = True
-            else:
-                self.stats["rrsh_stall_cycles"] += 1
         if self._intake or self._pipe:
             moved |= self._step_lookup(now)
         dma = self.dma

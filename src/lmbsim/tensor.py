@@ -354,16 +354,9 @@ def cp_als(tensor: CooTensor, rank, max_iters=50, tol=1e-6, seed=0,
     for it in range(max_iters):
         # mode 0: A <- B_(1) (D (*) C) (C'C * D'D)^-1, then modes 1 and 2.
         for mode in range(3):
-            if mode == 0:
-                mtt = run_mttkrp(0, mats[1], mats[2])
-                gram = _gram(mats[1]) * _gram(mats[2])
-            elif mode == 1:
-                mtt = run_mttkrp(1, mats[0], mats[2])
-                gram = _gram(mats[0]) * _gram(mats[2])
-            else:
-                mtt = run_mttkrp(2, mats[0], mats[1])
-                gram = _gram(mats[0]) * _gram(mats[1])
-            mats[mode] = _solve_normal(gram, mtt, mode, it)
+            m1, m2 = (mats[m] for m in range(3) if m != mode)
+            mtt = run_mttkrp(mode, m1, m2)
+            mats[mode] = _solve_normal(_gram(m1) * _gram(m2), mtt, mode, it)
 
         lam = np.ones(rank, dtype=np.float64)
         for m_i in range(3):

@@ -35,15 +35,14 @@ HEADER_BYTES = _HEADER.size  # 32
 RECORD_DTYPE = np.dtype([("i", "<u4"), ("j", "<u4"), ("k", "<u4"), ("val", "<f4")])
 
 
-def _text_lines(path):
+def _text_lines(path, not_text="neither a binary tensor nor UTF-8 text"):
     """(line number, stripped line) for each line; bad bytes are a DataError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
                 yield lineno, raw.strip()
         except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: neither a binary tensor nor UTF-8 text "
-                            f"({exc.reason})") from None
+            raise DataError(f"{path}: {not_text} ({exc.reason})") from None
 
 
 def load_text(path) -> CooTensor:

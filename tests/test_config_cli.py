@@ -629,6 +629,44 @@ def test_cli_bad_trace_file(tmp_path):
     assert main(["run", "--trace-in", str(bad)]) == 2
 
 
+def test_cli_trace_file_not_utf8(tmp_path, capsys):
+    trace = tmp_path / "trace.txt"
+    trace.write_bytes(b"0 elem 0 0 \xff 16 0\n")
+    assert main(["run", "--trace-in", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {trace}: not UTF-8 text (invalid start byte)\n"
+
+
+def test_cli_config_file_not_utf8(tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(b"[run]\nseed = \xff\n")
+    assert main(["run", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {ini}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_failed_allocation_exits_2(monkeypatch, capsys):
+    # a stand-in: the real --cp-rank 100000000 would ask for 47.7 GiB
+    def cp_als(*args, **kwargs):
+        raise MemoryError("Unable to allocate 47.7 GiB")
+    monkeypatch.setattr(cli, "cp_als", cp_als)
+    assert main(["cpd", "--set", "tensor.nnz=5", "--cp-rank", "100000000"]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 47.7 GiB\n"
+
+
+def test_cli_long_quiet_stretches_finish(capsys):
+    # a row access of 1.5M cycles outlasts the engine's base no-progress
+    # limit, and a busy accumulator the functional run's base cycle guard
+    assert main(["run", "--set", "tensor.nnz=5",
+                 "--set", "dram.t_row_hit=1500000",
+                 "--set", "dram.t_row_miss=1500000"]) == 0
+    assert json.loads(capsys.readouterr().out)["total_cycles"] == 7_500_038
+    assert main(["cpd", "--use-fabric", "--set", "tensor.nnz=20",
+                 "--set", "fabric.type=type1",
+                 "--set", "fabric.accumulate_cycles=2000", "--iters", "1"]) == 0
+
+
 def _bad_trace_run(tmp_path, capsys, second_record):
     trace = tmp_path / "trace.txt"
     trace.write_text("# cycle kind lmb pe addr len tag\n"

@@ -13,7 +13,8 @@ from lmbsim.engine import (Router, Simulator, SystemConfig, TracePlayer,
                            simulate, verify_output)
 from lmbsim.errors import (ConfigurationError, DeadlockError, ProtocolError,
                            VerificationError)
-from lmbsim.fabric import FabricConfig, RequestTrace, run_functional
+from lmbsim.fabric import (FabricConfig, MemoryRequest, ReqKind, RequestTrace,
+                           run_functional)
 from lmbsim.memsys import (MODES, CacheConfig, DmaConfig, DmaEngine, Lmb,
                            LmbConfig, MshrConfig, RrshConfig, _Cursor)
 from lmbsim.queues import INF, TimedFifo
@@ -153,6 +154,10 @@ def test_verify_output_shape_mismatch():
         verify_output(a, b)
 
 
+def _f32(bits):
+    return np.uint32(bits).view(np.float32)
+
+
 @pytest.mark.parametrize("got,want,ok", [
     (np.nan, 1.0, False),           # NaN against a finite reference
     (1.0, np.nan, False),
@@ -161,12 +166,17 @@ def test_verify_output_shape_mismatch():
     (-np.inf, np.inf, False),
     (np.inf, np.inf, True),         # equal infinities
     (np.nan, np.nan, True),         # NaN input values give NaN on both sides
-    (1.0 + 1e-6, 1.0, True),
+    pytest.param(_f32(0x7FC00001), _f32(0x7FC00002), True,
+                 id="nan-payloads"),  # whatever their payloads
+    (1.0 + 1e-6, 1.0, False),       # the output must match bit for bit
+    pytest.param(_f32(0x3F800001), 1.0, False, id="one-ulp"),
+    (-0.0, 0.0, False),
 ])
 def test_verify_output_non_finite_values(got, want, ok):
     a = FactorMatrix(2, 2, np.ones((2, 2), dtype=np.float32))
     b = FactorMatrix(2, 2, np.ones((2, 2), dtype=np.float32))
     a.values[1, 0], b.values[1, 0] = got, want
+    assert a.values.view(np.uint32)[1, 0] == np.float32(got).view(np.uint32)
     if ok:
         verify_output(a, b)
     else:
@@ -859,6 +869,20 @@ def test_engine_gives_up_when_work_remains_without_pending_events():
     assert isinstance(info.value.dump, str)
     assert info.value.dump.startswith("cycle 0\n")
     assert DeadlockError("x").dump == ""
+
+
+def test_engine_gives_up_on_a_block_awake_without_progress(monkeypatch):
+    # the limit adds the longest quiet stretch the configuration allows: a
+    # row miss (45) and an accumulator through a machine's slots (1 * 16)
+    monkeypatch.setattr("lmbsim.engine._NO_PROGRESS_LIMIT", 50)
+    sim = Simulator(system(), [TracePlayer([])])
+    lmb = sim.lmbs[0]
+    lmb.accept(MemoryRequest(ReqKind.ELEM, 0, 16, 0, 0), 0)
+    lmb.step = lambda now: False            # holds its request for ever
+    lmb.next_event = lambda now: now + 1    # and never sleeps
+    with pytest.raises(DeadlockError, match="no progress for 111 cycles") as info:
+        sim.run()
+    assert "block 0: drained=False" in info.value.dump
 
 
 # --- report shape -------------------------------------------------------------
