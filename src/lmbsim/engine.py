@@ -61,8 +61,9 @@ and comes back after a delivery only if that delivery set it (a PE machine
 sets it only for a response that lets it act; see fabric.PeMachine).  Index
 order matters, because machines feed the block wires in that order.  An
 iteration that moved nothing jumps to the earliest wake or armed workload's
-event; only when nothing is pending does it ask whether the run is done (if
-not, it is a deadlock).
+event (a jump to a workload's event, such as a trace record or a free
+accumulator, is no stall); only when nothing is pending does it ask whether
+the run is done (if not, it is a deadlock).
 """
 
 from __future__ import annotations
@@ -319,10 +320,13 @@ class Simulator:
         nxt = min(nxt, self.router.next_event(now), self.wake)
         for lmb in self.lmbs:
             nxt = min(nxt, lmb.next_event(now))
-        workloads = self.workloads
-        for w_i in self._armed:
-            nxt = min(nxt, workloads[w_i].next_event(now))
+        if self._armed:
+            nxt = min(nxt, self._workload_event(now))
         return nxt
+
+    def _workload_event(self, now):
+        """The earliest cycle an armed workload's next_event names."""
+        return min(self.workloads[w].next_event(now) for w in self._armed)
 
     def _dump_state(self, now):
         lines = [f"cycle {now}"]
@@ -369,6 +373,9 @@ class Simulator:
                         dump=self._dump_state(now))
                 if nxt <= now:
                     nxt = now + 1
+                elif (nxt > now + 1 and self._armed
+                      and nxt == self._workload_event(now)):
+                    last_progress = nxt  # the workload scheduled the jump
                 now = int(nxt)
                 if now - last_progress > limit:
                     raise DeadlockError(f"no progress for {limit} cycles",

@@ -12,22 +12,18 @@ arrangements are modeled:
   type2  `pe_count` independent machines, each owning a contiguous slice of
          elements and a single memory port.
 
-The same machine logic runs under an instant-responder harness (functional
-results, request traces) and under the cycle engine (timing).  The memory
-side moves timing only: a request carries no data, and its answer is the
-request itself.  Each machine reads and writes the data in the MemoryImage
-on its own: an answered element load reads the coordinates its slot names,
-a commit takes the slot's term into its row, and issuing a row store writes
-the output row.  Both runs therefore produce identical numerics.  The image
-computes every element's term (D[j, :] * C[k, :]) * val before the run, in
-float64 and in one vectorized pass: the float32 by float32 product fits a
-float64 significand, so only the scale by the value rounds.  A row's sum is
-made once, at its flush: it starts from +0.0, is carried in float64 in
-element order, and is rounded to float32.
-
-Each slot counts its answers (the element, then its two rows) and commits
-at three.  Each machine counts the slots whose element is here and that still
-have a row to issue, so asking whether a row load waits costs no scan.
+The same machine logic runs alone under an instant-responder harness
+(functional results, request traces) and together under the cycle engine
+(timing).  The memory side moves timing only: a request carries no data, and
+its answer is the request itself.  Each machine reads and writes the data in
+the MemoryImage on its own: an answered element load reads the coordinates
+its slot names, a commit takes the slot's term into its row, and issuing a
+row store writes the output row.  Both runs therefore produce identical
+numerics.  The image computes every element's term (D[j, :] * C[k, :]) * val
+before the run, in float64 and in one vectorized pass: the float32 by
+float32 product fits a float64 significand, so only the scale by the value
+rounds.  A row's sum is made once, at its flush: it starts from +0.0, is
+carried in float64 in element order, and is rounded to float32.
 """
 
 from __future__ import annotations
@@ -223,7 +219,8 @@ class PeMachine:
     for a full store port, nor can the last flush while another is pending.
     A busy accumulator does not clear it.  `_can_act` states the rule; a
     step sets `want_step` from it, and a response to a disarmed machine
-    re-arms it by the same rule.
+    re-arms it by the same rule.  When only a commit can act, `next_event`
+    names the cycle the accumulator frees: no step before it can act.
     """
 
     __slots__ = ("cfg", "hi", "next_z", "slots", "slot_cap",
@@ -397,10 +394,9 @@ class PeMachine:
         self.want_step = self._can_act()
         return issued_any
 
-    def _can_act(self):
-        """Backlog that needs no response to make progress next cycle.
-        Ports at max outstanding cannot act, nor can a head whose commit
-        waits for a pending flush."""
+    def _can_act(self, commit=True):
+        """`want_step`'s rule (see the class docstring); with `commit` False,
+        its issue part alone: a port with room has a request to issue."""
         out = self.outstanding
         w = self.max_outstanding
         slots = self.slots
@@ -409,14 +405,20 @@ class PeMachine:
                 or (self.next_z < self.hi and len(slots) < self.slot_cap
                     and out[self._elem_port] < w)
                 or (self.row_wait and out[self._fiber_port] < w)
-                or (slots and slots[0].arrived == 3
-                    and (flush is None or slots[0].i == self.cur_i))
-                or (self.next_z >= self.hi and not slots
-                    and self.cur_i is not None and flush is None))
+                or (commit
+                    and ((slots and slots[0].arrived == 3
+                          and (flush is None or slots[0].i == self.cur_i))
+                         or (self.next_z >= self.hi and not slots
+                             and self.cur_i is not None and flush is None))))
 
     def next_event(self, now):
-        # a machine with want_step clear acts only after a delivery re-arms it
-        return now + 1 if self.want_step else INF
+        """The next cycle a step can act, INF until a delivery re-arms a
+        machine with want_step clear."""
+        if not self.want_step:
+            return INF
+        if self.acc_busy_until <= now + 1 or self._can_act(commit=False):
+            return now + 1
+        return self.acc_busy_until
 
     def idle(self):
         """True once every element is committed, flushed, and acknowledged."""
@@ -505,52 +507,43 @@ def run_functional(tensor: CooTensor, d: FactorMatrix, c: FactorMatrix,
     """Drive the machines against an instant (1-cycle) memory.
 
     Returns the MTTKRP output.  Numerics and request streams are identical to
-    the timed run; only response latencies differ.
+    the timed run; only response latencies differ.  Each answer goes back to
+    its issuer a cycle later, and no two machines write one output row
+    (`partition_nonzeros` never splits a row), so each machine runs to its
+    end on its own.  A stable sort on the cycle merges their traced
+    requests, machines in index order, as stepping them together would.
     """
     amap = AddressMap.build(tensor.nnz, tensor.dims, cfg.rank)
     image = MemoryImage(tensor, d, c)
-    machines = build_machines(cfg, tensor, amap, image)
-    pending = deque()  # (ready_cycle, the issuer's deliver, request)
-    now = 0
-    guard = 0
-    # a busy accumulator keeps its machine stepping every cycle
+    # a busy accumulator holds each element for accumulate_cycles
     guard_limit = (100 + cfg.accumulate_cycles) * max(tensor.nnz, 1) + 10000
-
-    def make_sink(mach):
-        deliver = mach.deliver
-
-        def sink(req):
-            if trace is not None:
-                trace.add(now, req)
-            pending.append((now + 1, deliver, req))
-        return sink
-
-    sinks = [(mach, make_sink(mach)) for mach in machines]
-    while True:
-        while pending and pending[0][0] <= now:
-            _, deliver, req = pending.popleft()
-            deliver(req)
-        active = False
-        for mach, sink in sinks:
-            # as in the engine: a machine without want_step cannot act, and
-            # a delivery re-arms it
-            if mach.want_step and mach.step(now, sink):
-                active = True
-        if not active and not pending:
-            # an issue leaves a request pending, so only a quiet cycle can
-            # find every machine idle
-            if all(m.idle() for m in machines):
+    issued = []  # (cycle, request), when traced
+    for mach in build_machines(cfg, tensor, amap, image):
+        sent = []
+        sink = sent.append
+        step, deliver = mach.step, mach.deliver
+        now = 0
+        while True:
+            for req in sent:  # issued the cycle before
+                deliver(req)
+            sent.clear()
+            if mach.want_step and step(now, sink):
+                if trace is not None:
+                    for req in sent:
+                        issued.append((now, req))
+                now += 1
+            elif mach.idle():
                 break
-            # machines not idle: accumulator busy or stalled
-            nxt = min(m.next_event(now) for m in machines)
-            if nxt == INF:
-                raise ProtocolError("functional run stalled with work remaining")
-            now = int(nxt)
-        else:
-            now += 1
-        guard += 1
-        if guard > guard_limit:
-            raise ProtocolError("functional run exceeded cycle guard")
+            else:  # nothing in flight: only the machine's own state moves it
+                now = mach.next_event(now)
+                if now == INF:
+                    raise ProtocolError(
+                        "functional run stalled with work remaining")
+            if now > guard_limit:
+                raise ProtocolError("functional run exceeded cycle guard")
+    if trace is not None:
+        for now, req in sorted(issued, key=lambda rec: rec[0]):
+            trace.add(now, req)
     return image.result(cfg.rank)
 
 

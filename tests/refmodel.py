@@ -4,11 +4,12 @@ Deliberately naive: straight-line lookups over Python lists, no shared code
 with the cache under test, so the two can disagree when one of them is wrong.
 """
 
-from collections import namedtuple
+from collections import deque, namedtuple
 
 import numpy as np
 
-from lmbsim.errors import ConfigurationError
+from lmbsim.errors import ConfigurationError, ProtocolError
+from lmbsim.fabric import AddressMap, MemoryImage, build_machines
 from lmbsim.tensor import mttkrp_oracle
 
 
@@ -99,3 +100,44 @@ class FullyAssocLruRef:
             self.order.pop(0)
         self.order.append(line)
         return False
+
+
+def run_functional_interleaved(tensor, d, c, cfg, trace=None):
+    """`fabric.run_functional` as the machines stepping side by side: one
+    shared clock, every armed machine stepped each cycle in index order, and
+    each request answered from one queue a cycle after its issue.  Traced
+    requests are recorded as they issue."""
+    amap = AddressMap.build(tensor.nnz, tensor.dims, cfg.rank)
+    image = MemoryImage(tensor, d, c)
+    machines = build_machines(cfg, tensor, amap, image)
+    pending = deque()  # (ready cycle, the issuer's deliver, request)
+    now = 0
+    guard = 0
+    guard_limit = (100 + cfg.accumulate_cycles) * max(tensor.nnz, 1) + 10000
+
+    def make_sink(mach):
+        def sink(req):
+            if trace is not None:
+                trace.add(now, req)
+            pending.append((now + 1, mach.deliver, req))
+        return sink
+
+    sinks = [(mach, make_sink(mach)) for mach in machines]
+    while True:
+        while pending and pending[0][0] <= now:
+            _, deliver, req = pending.popleft()
+            deliver(req)
+        active = False
+        for mach, sink in sinks:
+            if mach.want_step and mach.step(now, sink):
+                active = True
+        if not active and not pending:
+            if all(m.idle() for m in machines):
+                break
+            if not any(m.want_step for m in machines):
+                raise ProtocolError("functional run stalled with work remaining")
+        now += 1
+        guard += 1
+        if guard > guard_limit:
+            raise ProtocolError("functional run exceeded cycle guard")
+    return image.result(cfg.rank)

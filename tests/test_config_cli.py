@@ -667,6 +667,15 @@ def test_cli_long_quiet_stretches_finish(capsys):
                  "--set", "fabric.accumulate_cycles=2000", "--iters", "1"]) == 0
 
 
+def test_cli_trace_with_a_long_gap_finishes(tmp_path, capsys):
+    # the engine jumps from the first request's answer to the second
+    # record, three times its base no-progress limit later
+    trace = tmp_path / "gap.txt"
+    trace.write_text("0 elem 0 0 0 16 0\n3000000 elem 0 0 64 16 1\n")
+    assert main(["run", "--trace-in", str(trace)]) == 0
+    assert json.loads(capsys.readouterr().out)["total_cycles"] > 3_000_000
+
+
 def _bad_trace_run(tmp_path, capsys, second_record):
     trace = tmp_path / "trace.txt"
     trace.write_text("# cycle kind lmb pe addr len tag\n"

@@ -885,6 +885,36 @@ def test_engine_gives_up_on_a_block_awake_without_progress(monkeypatch):
     assert "block 0: drained=False" in info.value.dump
 
 
+def test_engine_gives_up_on_a_workload_armed_without_progress(monkeypatch):
+    monkeypatch.setattr("lmbsim.engine._NO_PROGRESS_LIMIT", 50)
+
+    class Restless:
+        """A workload that always asks for the next cycle, and never acts."""
+        want_step = True
+
+        def step(self, now, sink):
+            return False
+
+        def next_event(self, now):
+            return now + 1
+
+        def idle(self):
+            return False
+
+    with pytest.raises(DeadlockError, match="no progress for 111 cycles"):
+        Simulator(system(), [Restless()]).run()
+
+
+def test_a_jump_to_a_trace_record_is_not_a_stall(monkeypatch):
+    # records further apart than the no-progress limit: the engine jumps
+    # from the first request's answer straight to the second record
+    monkeypatch.setattr("lmbsim.engine._NO_PROGRESS_LIMIT", 50)
+    records = [(0, "elem", 0, 0, 0, 16, 0), (5000, "elem", 0, 0, 64, 16, 1)]
+    rep = replay_trace(records, system(mode="ip-only"))
+    alone = replay_trace(records[:1], system(mode="ip-only"))
+    assert rep["total_cycles"] == 5000 + alone["total_cycles"]
+
+
 # --- report shape -------------------------------------------------------------
 
 def test_report_structure():

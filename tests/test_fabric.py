@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lmbsim.dram import DramConfig
 from lmbsim.engine import SystemConfig, simulate
@@ -14,8 +14,10 @@ from lmbsim.fabric import (AddressMap, FabricConfig, MemoryImage, PeMachine,
                            fabric_mttkrp_kernel, partition_nonzeros,
                            run_functional)
 from lmbsim.memsys import MODES, LmbConfig
+from lmbsim.queues import INF
 from lmbsim.tensor import (ELEMENT_BYTES, CooTensor, FactorMatrix, GenSpec,
                            cp_als, gen_synthetic, mttkrp_oracle)
+from refmodel import run_functional_interleaved
 
 
 # --- row partitioning ---------------------------------------------------------
@@ -368,6 +370,140 @@ def test_a_blocked_flush_leaves_the_machine_disarmed():
     finally:
         PeMachine.step = step
     assert blocked[0] > 0
+
+
+def test_next_event_names_the_cycle_the_accumulator_frees():
+    # one machine, two requests in flight, over a row of two elements, each
+    # answer a cycle after its request
+    t = CooTensor((1, 2, 2), np.array([0, 0], dtype=np.uint32),
+                  np.array([0, 1], dtype=np.uint32),
+                  np.array([0, 1], dtype=np.uint32),
+                  np.array([1.0, 2.0], dtype=np.float32))
+    cfg = FabricConfig(fabric_type="type2", pe_count=1, max_outstanding=2,
+                       accumulate_cycles=10, rank=2)
+    (m,) = build_machines(cfg, t, AddressMap.build(t.nnz, t.dims, 2),
+                          MemoryImage(t, FactorMatrix.random(2, 2, seed=1),
+                                      FactorMatrix.random(2, 2, seed=2)))
+    # cycle: (the step issued, next_event after it).  Element 0 commits at
+    # 3 and holds the accumulator to 13; a port that can issue still asks
+    # for the next cycle (4), a full wait for an answer for none (3, 5).
+    # Element 1 is complete at 6 and only its commit can act: at 13, and
+    # the row's flush then waits for the accumulator to 23.
+    want = {0: (True, 1), 1: (True, 2), 2: (True, 3), 3: (True, INF),
+            4: (True, 5), 5: (True, INF),
+            **{now: (False, 13) for now in range(6, 13)},
+            13: (False, 23), 23: (True, INF), 24: (False, INF)}
+    sent = []
+    for now in sorted(want):
+        for req in sent:
+            m.deliver(req)
+        sent.clear()
+        issued = m.step(now, sent.append)
+        assert (issued, m.next_event(now)) == want[now], now
+    assert m.acc_busy_until == 23 and m.idle()
+
+
+def _count_accumulator_skips(run, strict):
+    """Run `run()` with every PE step checked, and return how many times a
+    machine's steps jumped over cycles to a free accumulator.
+
+    A step before the accumulator frees, with no port able to issue, can do
+    nothing.  With `strict`, no such step may come unless an answer came
+    since the machine's last step: the functional harness jumps to
+    `next_event` after a step that issued nothing, and answers a step that
+    issued in the next cycle."""
+    step, deliver = PeMachine.step, PeMachine.deliver
+    answered = set()
+    last = {}
+    skips = [0]
+
+    def noting_deliver(m, req):
+        answered.add(m)
+        deliver(m, req)
+
+    def checked_step(m, now, sink):
+        if now < m.acc_busy_until and not m._can_act(commit=False):
+            assert m in answered or not strict, f"idle step at {now}"
+        elif now == m.acc_busy_until and now - last.get(m, now) > 1:
+            skips[0] += 1
+        answered.discard(m)
+        last[m] = now
+        return step(m, now, sink)
+
+    PeMachine.step, PeMachine.deliver = checked_step, noting_deliver
+    try:
+        run()
+    finally:
+        PeMachine.step, PeMachine.deliver = step, deliver
+    return skips[0]
+
+
+def _accumulator_case(dims, nnz, seed, fabric_type, pe_count, max_outstanding,
+                      accumulate_cycles, rank=4):
+    t = sorted_tensor(dims, min(nnz, dims[0] * dims[1] * dims[2]), seed=seed)
+    d = FactorMatrix.random(dims[1], rank, seed=seed + 1)
+    c = FactorMatrix.random(dims[2], rank, seed=seed + 2)
+    cfg = FabricConfig(fabric_type=fabric_type, pe_count=pe_count,
+                       max_outstanding=max_outstanding,
+                       accumulate_cycles=accumulate_cycles, rank=rank)
+    return t, d, c, cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.tuples(*(st.integers(min_value=1, max_value=6),) * 3),
+    nnz=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=1000),
+    fabric_type=st.sampled_from(["type1", "type2"]),
+    pe_count=st.integers(min_value=1, max_value=8),
+    max_outstanding=st.integers(min_value=1, max_value=16),
+    accumulate_cycles=st.integers(min_value=2, max_value=4),
+)
+def test_the_harness_skips_a_wait_for_the_accumulator(**case):
+    t, d, c, cfg = _accumulator_case(**case)
+    _count_accumulator_skips(lambda: run_functional(t, d, c, cfg), strict=True)
+
+
+def test_both_drivers_jump_to_a_free_accumulator():
+    # the engine's quiet jump reads next_event too, where nothing else moves
+    t, d, c, cfg = _accumulator_case((8, 8, 8), 120, seed=3,
+                                     fabric_type="type2", pe_count=2,
+                                     max_outstanding=4, accumulate_cycles=3)
+    assert _count_accumulator_skips(lambda: run_functional(t, d, c, cfg),
+                                    strict=True) > 0
+    syscfg = SystemConfig(fabric=cfg, lmb=LmbConfig(mode="proposed"))
+    assert _count_accumulator_skips(
+        lambda: simulate(t, d, c, syscfg, verify=True), strict=False) > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.tuples(*(st.integers(min_value=1, max_value=6),) * 3),
+    nnz=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=1000),
+    fabric_type=st.sampled_from(["type1", "type2"]),
+    pe_count=st.integers(min_value=1, max_value=8),
+    max_outstanding=st.integers(min_value=1, max_value=16),
+    accumulate_cycles=st.integers(min_value=1, max_value=3),
+    rank=st.integers(min_value=1, max_value=32),
+)
+@example(dims=(3, 3, 3), nnz=0, seed=0, fabric_type="type2", pe_count=3,
+         max_outstanding=2, accumulate_cycles=1, rank=4)
+@example(dims=(1, 6, 6), nnz=30, seed=1, fabric_type="type2", pe_count=4,
+         max_outstanding=3, accumulate_cycles=2, rank=5)
+@example(dims=(1, 6, 6), nnz=30, seed=2, fabric_type="type1", pe_count=1,
+         max_outstanding=1, accumulate_cycles=3, rank=32)
+def test_functional_matches_the_interleaved_reference(**case):
+    # the machines run one after another; the reference steps them side by
+    # side on one clock, every cycle, and answers from one shared queue
+    t, d, c, cfg = _accumulator_case(**case)
+    got_trace, want_trace = RequestTrace(), RequestTrace()
+    got = run_functional(t, d, c, cfg, trace=got_trace)
+    want = run_functional_interleaved(t, d, c, cfg, trace=want_trace)
+    assert np.array_equal(got.values.view(np.uint32),
+                          want.values.view(np.uint32))
+    assert got_trace.records == want_trace.records
+    assert len(got_trace) >= 3 * t.nnz
 
 
 def test_request_stream_is_deterministic():
